@@ -3,7 +3,7 @@
 //! Mirrors the classical commercial flow:
 //!
 //! 1. **Random phase** — 64-pattern blocks of seeded random patterns are
-//!    fault-simulated with fault dropping (packed `PREBOND3D_LANES` blocks
+//!    fault-simulated with fault dropping (packed `RunCtx::lanes` blocks
 //!    to a physical batch, credited block-by-block so results are
 //!    lane-width invariant); only patterns that detect a new fault are
 //!    kept. The phase ends when a block's yield drops below a threshold.
@@ -16,7 +16,7 @@
 //!    report.
 
 use prebond3d_obs as obs;
-use prebond3d_resilience::{degrade, Deadline};
+use prebond3d_resilience::{degrade, Deadline, RunCtx};
 use prebond3d_rng::StdRng;
 
 use prebond3d_netlist::Netlist;
@@ -245,8 +245,8 @@ pub fn run_stuck_at_on(
     // of them untestable via the SCOAP pre-screen below without consuming
     // RNG or emitting patterns, so every downstream artifact stays
     // byte-identical while the per-fault cone resimulations disappear.
-    // `PREBOND3D_NO_CACHE=1` disables pruning and is the reference oracle.
-    if prebond3d_netlist::tuning::cache_enabled() {
+    // The run's reference mode disables pruning and is the oracle.
+    if RunCtx::current().cache_enabled() {
         let analysis = crate::prune::PruneAnalysis::new(netlist, access);
         let mask = crate::prune::prune_mask(&analysis, &scoap, netlist, access, &list.faults);
         let mut pruned = 0u64;
@@ -274,7 +274,7 @@ pub fn run_stuck_at_on(
     // (The phase-budget deadline is polled per physical batch rather than
     // per block; it is wall-clock and thus outside the determinism
     // contract.)
-    let lanes = prebond3d_netlist::tuning::lanes();
+    let lanes = RunCtx::current().lanes();
     let mut blocks_done = 0usize;
     'random: while blocks_done < config.max_random_batches {
         if !alive.iter().any(|&a| a) {
@@ -437,7 +437,7 @@ fn reverse_order_compact(
 ) -> Vec<Pattern> {
     let _span = obs::span("atpg_compact");
     let before = patterns.len();
-    let lanes = prebond3d_netlist::tuning::lanes();
+    let lanes = RunCtx::current().lanes();
     let mut alive = vec![true; list.len()];
     let mut keep: Vec<Pattern> = Vec::new();
     let reversed: Vec<Pattern> = patterns.into_iter().rev().collect();
@@ -478,7 +478,7 @@ fn count_detected(
     fs: &mut FaultSimulator,
     patterns: &[Pattern],
 ) -> usize {
-    let lanes = prebond3d_netlist::tuning::lanes();
+    let lanes = RunCtx::current().lanes();
     let mut alive = vec![true; list.len()];
     for window in patterns.chunks(lanes * 64) {
         let (w, masks) = fs
@@ -652,7 +652,7 @@ pub fn detected_by(
     faults: &[crate::fault::Fault],
     patterns: &[Pattern],
 ) -> Vec<bool> {
-    let lanes = prebond3d_netlist::tuning::lanes();
+    let lanes = RunCtx::current().lanes();
     let mut fs = FaultSimulator::new(netlist);
     let mut alive = vec![true; faults.len()];
     for window in patterns.chunks(lanes * 64) {
@@ -759,7 +759,6 @@ mod tests {
     /// coverage, same untestable split.
     #[test]
     fn pruned_run_is_byte_identical_to_reference() {
-        use prebond3d_netlist::tuning;
         let spec = itc99::DieSpec {
             name: "prune_die".into(),
             scan_flip_flops: 12,
@@ -772,16 +771,32 @@ mod tests {
         };
         let die = itc99::generate_die(&spec);
         let access = TestAccess::full_scan(&die);
-        tuning::force_no_cache(Some(true));
-        let reference = run_stuck_at(&die, &access, &AtpgConfig::fast());
-        tuning::force_no_cache(Some(false));
+        let reference = RunCtx::scope(&RunCtx::default().with_reference(true), || {
+            run_stuck_at(&die, &access, &AtpgConfig::fast())
+        });
         let pruned = run_stuck_at(&die, &access, &AtpgConfig::fast());
-        tuning::force_no_cache(None);
         assert_eq!(reference, pruned);
         assert!(
             pruned.untestable > 0,
             "the floating-TSV die must have untestable faults"
         );
+    }
+
+    /// `atpg.lane_fill_pct` describes one run, not the process so far: a
+    /// run on another die in between must not move a repeat run's gauge.
+    #[test]
+    fn lane_fill_gauge_is_per_run() {
+        let fill = |die: &Netlist| {
+            let access = TestAccess::full_scan(die);
+            let run = || run_stuck_at(die, &access, &AtpgConfig::fast());
+            obs::capture_recorded(run).1.gauge("atpg.lane_fill_pct")
+        };
+        let a = itc99::generate_flat("a", 200, 14, 6, 6, 8);
+        let b = itc99::generate_flat("b", 60, 4, 3, 3, 2);
+        let first = fill(&a);
+        assert!(first.is_some());
+        assert_ne!(first, fill(&b), "the other die fills lanes differently");
+        assert_eq!(first, fill(&a), "back-to-back runs on one die agree");
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use prebond3d_netlist::{GateKind, Netlist};
 use prebond3d_pool as pool;
@@ -88,21 +87,6 @@ enum NeedSpec<'a> {
     PerFault(&'a [u64]),
 }
 
-/// Cumulative lane-occupancy accounting behind the `atpg.lane_fill_pct`
-/// gauge: pattern slots actually filled vs. slots the chosen lane widths
-/// could have carried (wasted tail-lane bits are the difference).
-static LANE_SLOTS_USED: AtomicU64 = AtomicU64::new(0);
-static LANE_SLOTS_CAPACITY: AtomicU64 = AtomicU64::new(0);
-
-fn record_lane_fill(patterns: usize, width: usize) {
-    let used = LANE_SLOTS_USED.fetch_add(patterns as u64, Ordering::Relaxed) + patterns as u64;
-    let cap = LANE_SLOTS_CAPACITY.fetch_add(width as u64 * 64, Ordering::Relaxed)
-        + width as u64 * 64;
-    if cap > 0 {
-        prebond3d_obs::gauge("atpg.lane_fill_pct", used * 100 / cap);
-    }
-}
-
 /// Reusable fault-simulation scratch state for one netlist.
 #[derive(Debug)]
 pub struct FaultSimulator {
@@ -116,6 +100,11 @@ pub struct FaultSimulator {
     /// (flat, fault-major/lane-minor: slot `f * W + l` is fault `f`,
     /// block `l`); batch entry points return a borrowed view of it.
     masks: Vec<u64>,
+    /// Lane occupancy behind the `atpg.lane_fill_pct` gauge: pattern
+    /// slots filled vs. slots the chosen lane widths could have carried,
+    /// over this simulator's batches (one ATPG run).
+    slots_used: u64,
+    slots_capacity: u64,
 }
 
 impl FaultSimulator {
@@ -127,6 +116,8 @@ impl FaultSimulator {
             overlay4: None,
             overlay8: None,
             masks: Vec::new(),
+            slots_used: 0,
+            slots_capacity: 0,
         }
     }
 
@@ -260,34 +251,42 @@ impl FaultSimulator {
         alive: &[bool],
         spec: NeedSpec<'_>,
     ) -> Result<(usize, &[u64]), SimError> {
-        let blocks = patterns.len().div_ceil(64);
+        let width = match patterns.len().div_ceil(64) {
+            0 | 1 => 1,
+            2..=4 => 4,
+            5..=8 => 8,
+            _ => {
+                return Err(SimError::TooManyPatterns {
+                    given: patterns.len(),
+                    capacity: 512,
+                })
+            }
+        };
+        self.slots_used += patterns.len() as u64;
+        self.slots_capacity += width as u64 * 64;
+        prebond3d_obs::gauge("atpg.lane_fill_pct", self.slots_used * 100 / self.slots_capacity);
         let FaultSimulator {
             sim,
             overlay1,
             overlay4,
             overlay8,
             masks,
+            ..
         } = self;
-        match blocks {
-            0 | 1 => {
+        match width {
+            1 => {
                 batch_masks::<1>(sim, overlay1, masks, netlist, access, patterns, faults, alive, spec)?;
-                Ok((1, &*masks))
             }
-            2..=4 => {
+            4 => {
                 let overlay = overlay4.get_or_insert_with(|| Overlay::new(netlist.len()));
                 batch_masks::<4>(sim, overlay, masks, netlist, access, patterns, faults, alive, spec)?;
-                Ok((4, &*masks))
             }
-            5..=8 => {
+            _ => {
                 let overlay = overlay8.get_or_insert_with(|| Overlay::new(netlist.len()));
                 batch_masks::<8>(sim, overlay, masks, netlist, access, patterns, faults, alive, spec)?;
-                Ok((8, &*masks))
             }
-            _ => Err(SimError::TooManyPatterns {
-                given: patterns.len(),
-                capacity: 512,
-            }),
         }
+        Ok((width, &*masks))
     }
 }
 
@@ -316,7 +315,6 @@ fn batch_masks<const W: usize>(
     prebond3d_obs::count("atpg.faultsim_batches", 1);
     // One physical batch of up to W logical 64-pattern blocks.
     prebond3d_obs::count("atpg.pattern_batches", 1);
-    record_lane_fill(patterns.len(), W);
     // One histogram sample per batch call: the sample *count* is the
     // batch count (thread-invariant); only the latency values are
     // wall-clock and get zeroed under PREBOND3D_STABLE_MS.

@@ -27,7 +27,7 @@ use prebond3d_bench::{context, driver, lintflow};
 use prebond3d_dft::insert_scan;
 use prebond3d_lint::{Depth, LintContext, LintReport, Linter, Severity};
 use prebond3d_obs::json::Value;
-use prebond3d_resilience as resil;
+use prebond3d_resilience::{self as resil, RunCtx};
 use prebond3d_wcm::flow::{FlowConfig, Method};
 use prebond3d_wcm::run_flow;
 
@@ -98,6 +98,7 @@ fn lint_reports_on_disk(dir: &PathBuf) -> Option<LintReport> {
 }
 
 fn main() -> ExitCode {
+    let _ctx = RunCtx::from_env().0.enter();
     let mut experiment = "full".to_string();
     let mut sarif_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);

@@ -18,6 +18,7 @@
 //! backpressure/recovery contract broke), 2 usage/connection error.
 
 use prebond3d_bench::loadgen::{self, LoadgenConfig};
+use prebond3d_resilience::RunCtx;
 
 fn usage() -> ! {
     eprintln!(
@@ -58,7 +59,8 @@ fn main() {
             _ => usage(),
         }
     }
-    match loadgen::run(&config) {
+    let (ctx, mode) = RunCtx::from_env();
+    match RunCtx::scope(&ctx, || loadgen::run(&config, mode.stable_ms)) {
         Ok(s) => {
             println!(
                 "loadgen: {} jobs, {} hits / {} misses, cold p50 {:.2} ms, \

@@ -21,6 +21,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
+use prebond3d_resilience::{ReportMode, RunCtx};
 use prebond3d_wcm::flow::FlowError;
 
 use crate::report;
@@ -30,11 +31,25 @@ pub const EXIT_PARTIAL_FAILURE: u8 = 3;
 /// A fatal error or escaped panic ended the run early.
 pub const EXIT_FATAL: u8 = 4;
 
-/// Run one experiment end to end: `begin(experiment)`, the body, then
-/// `finish` — unconditionally, so the run report (with its failure,
-/// degradation and chaos records) is written even when the body dies.
+/// Run one experiment end to end under the run context and report mode
+/// the environment names ([`RunCtx::from_env`]: the binary edge).
 pub fn run(experiment: &str, body: impl FnOnce() -> Result<(), FlowError>) -> ExitCode {
-    report::begin(experiment);
+    let (ctx, mode) = RunCtx::from_env();
+    run_with(&ctx, mode, experiment, body)
+}
+
+/// Run one experiment end to end under `ctx`: `begin(experiment)`, the
+/// body, then `finish` — unconditionally, so the run report (with the
+/// run's failure, degradation and chaos records) is written even when
+/// the body dies.
+pub fn run_with(
+    ctx: &RunCtx,
+    mode: ReportMode,
+    experiment: &str,
+    body: impl FnOnce() -> Result<(), FlowError>,
+) -> ExitCode {
+    let _ctx = ctx.enter();
+    report::begin(experiment, mode);
     let outcome = catch_unwind(AssertUnwindSafe(body));
     match &outcome {
         Ok(Ok(())) => {}

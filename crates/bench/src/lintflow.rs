@@ -25,6 +25,7 @@ use prebond3d_lint::flow::{flow_context, thresholds_for};
 use prebond3d_lint::{Depth, LintReport, Linter};
 use prebond3d_netlist::Netlist;
 use prebond3d_place::Placement;
+use prebond3d_resilience::RunCtx;
 use prebond3d_wcm::flow::{run_flow, FlowConfig, FlowError, Method, Scenario};
 use prebond3d_wcm::FlowResult;
 
@@ -64,7 +65,7 @@ pub fn lint_result(
     if expects_violation(config) {
         linter = linter.allow(NEGATIVE_POST_SLACK);
     }
-    if prebond3d_resilience::budget::budget_armed() {
+    if RunCtx::current().budget_ms().is_some() {
         // A phase budget can legitimately truncate the searches that keep
         // timing clean (PODEM, annealing, clique merging); the resulting
         // violations are recorded degradations, not defects, so a budgeted

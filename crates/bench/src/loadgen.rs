@@ -844,15 +844,16 @@ fn kill_recover_phase(bin: &std::path::Path, seed: u64) -> Result<u64, String> {
     Ok(recovered)
 }
 
-/// Run the load, write `BENCH_serve.json`, and check the serving
-/// contract.
+/// Run the load, write `BENCH_serve.json` (wall-clock fields zeroed when
+/// `stable_ms`), and check the serving contract. In-process daemons run
+/// under the caller's current run context.
 ///
 /// # Errors
 ///
 /// Connection/protocol failures, a non-zero job code, a hit delta of
 /// zero, an empty cold histogram (the daemon was not cold), or a warm
 /// p50 that does not beat the cold p50.
-pub fn run(config: &LoadgenConfig) -> Result<LoadgenSummary, String> {
+pub fn run(config: &LoadgenConfig, stable_ms: bool) -> Result<LoadgenSummary, String> {
     let started = Instant::now();
     // An in-process daemon when no --addr: fixed worker count so the mix
     // concurrency (and thus queueing) is environment-independent.
@@ -1177,7 +1178,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenSummary, String> {
     // normalization only applies to what lands on disk.
     let cold_p50_ms = cold.quantile(0.50) as f64 / 1.0e6;
     let warm_p50_ms = warm.quantile(0.50) as f64 / 1.0e6;
-    if resil::stable_ms() {
+    if stable_ms {
         report::zero_ms(&mut doc);
     }
     let report_path = report::report_dir().join("BENCH_serve.json");

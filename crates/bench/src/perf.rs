@@ -11,9 +11,9 @@
 //!
 //! [`record_work_reductions`] measures the hot-path caches (DESIGN.md
 //! §11) in machine-independent units: it runs the probe/cone workload of
-//! the largest selected substrate once with `PREBOND3D_NO_CACHE`
-//! semantics forced on (the pre-optimization algorithm) and once with
-//! the caches enabled, and records the deterministic work counters
+//! the largest selected substrate once in the run context's reference
+//! mode (`PREBOND3D_NO_CACHE` semantics: the pre-optimization algorithm)
+//! and once with the caches enabled, and records the deterministic work counters
 //! (`atpg.gate_evals`, `atpg.faults_pruned`, cone word-ops,
 //! `probe.cache_*`) via
 //! [`crate::report::record_work`]. Unlike the wall-clock speedups these
@@ -28,10 +28,11 @@ use prebond3d_atpg::sim::Pattern;
 use prebond3d_atpg::{AtpgConfig, TestAccess};
 use prebond3d_celllib::{Capacitance, Library};
 use prebond3d_netlist::cone::ConeSet;
-use prebond3d_netlist::{itc99, tuning, GateId};
+use prebond3d_netlist::{itc99, GateId};
 use prebond3d_obs as obs;
 use prebond3d_place::{place, PlaceConfig};
 use prebond3d_pool as pool;
+use prebond3d_resilience::RunCtx;
 use prebond3d_rng::StdRng;
 use prebond3d_sta::whatif::ReuseKind;
 use prebond3d_sta::{analyze, analyze_with_extra_loads, StaAnalysis, StaConfig};
@@ -149,14 +150,10 @@ struct LanesSample {
 /// off (the pre-optimization reference algorithm) and once with them on,
 /// and record each counter via [`report::record_work`]. Like the
 /// wall-clock probe this is optional measurement: a panic records a
-/// degradation instead of failing the experiment, and the no-cache
-/// override is always restored.
+/// degradation instead of failing the experiment.
 pub fn record_work_reductions(circuits: &[&str]) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let result = catch_unwind(AssertUnwindSafe(|| work_probe(circuits)));
-    tuning::force_no_cache(None);
-    tuning::force_lanes(None);
-    if let Err(p) = result {
+    if let Err(p) = catch_unwind(AssertUnwindSafe(|| work_probe(circuits))) {
         prebond3d_resilience::degrade::record(
             "perf",
             "skip_work_probe",
@@ -212,7 +209,7 @@ fn work_probe(circuits: &[&str]) {
     let tsvs = netlist.inbound_tsvs();
 
     let cone_clique_mode = |no_cache: bool| -> (u64, u64) {
-        tuning::force_no_cache(Some(no_cache));
+        let _mode = RunCtx::current().with_reference(no_cache).enter();
         let (_, snap) = obs::capture(|| {
             let g = graph::build(
                 &model,
@@ -224,7 +221,6 @@ fn work_probe(circuits: &[&str]) {
             );
             let _partition = clique::partition(&g, &model, &thresholds, MergePolicy::Accurate);
         });
-        tuning::force_no_cache(None);
         (
             snap.counter("graph.cone_word_ops"),
             snap.counter("clique.candidate_rescores"),
@@ -269,12 +265,14 @@ fn work_probe(circuits: &[&str]) {
         // (`no_cache`) disables pruning, so the `atpg.gate_evals` delta
         // includes the retired faults' cone resimulations.
         let atpg_mode = |no_cache: bool| -> (WorkSample, prebond3d_atpg::AtpgResult) {
-            tuning::force_no_cache(Some(no_cache));
             // Pin the lane width so the recorded counters are invariant to
             // an ambient `PREBOND3D_LANES` (the CI perf-smoke matrix sweeps
             // it against one checked-in baseline). `no_cache` already forces
             // single-lane; the optimized mode measures the full-width path.
-            tuning::force_lanes(Some(if no_cache { 1 } else { 8 }));
+            let _mode = RunCtx::current()
+                .with_reference(no_cache)
+                .with_lanes(8)
+                .enter();
             let (result, snap) = obs::capture(|| {
                 let cones = ConeSet::compute(atpg_netlist, &roots);
                 let probe = AtpgProbe::default();
@@ -286,8 +284,6 @@ fn work_probe(circuits: &[&str]) {
                 let access = TestAccess::full_scan(atpg_netlist);
                 run_stuck_at(atpg_netlist, &access, &AtpgConfig::fast())
             });
-            tuning::force_no_cache(None);
-            tuning::force_lanes(None);
             let sample = WorkSample {
                 gate_evals: snap.counter("atpg.gate_evals"),
                 cache_hits: snap.counter("probe.cache_hits"),

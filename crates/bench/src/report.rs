@@ -30,18 +30,20 @@
 //! identical for any `PREBOND3D_THREADS`. Only the `ms` timings differ
 //! run to run; every counter and span count is exact (counters commute —
 //! each probe lands in exactly one section's registry). With
-//! `PREBOND3D_STABLE_MS=1` the wall-clock fields are zeroed at [`finish`],
-//! making reports byte-identical across runs — the mode the
-//! kill-and-resume determinism suite runs under.
+//! [`ReportMode::stable_ms`] (`PREBOND3D_STABLE_MS=1` at the driver) the
+//! wall-clock fields are zeroed at [`finish`], making reports
+//! byte-identical across runs — the mode the kill-and-resume determinism
+//! suite runs under.
 //!
 //! ## Checkpoint/resume
 //!
 //! [`resilient_par_die_scopes`] persists one JSON line per completed unit
 //! to `results/checkpoint_<experiment>.json` (keyed by a config hash over
 //! the experiment name, the crate version and the circuit selection —
-//! deliberately *not* the thread count). With `PREBOND3D_RESUME=1`,
-//! [`begin`] loads the checkpoint and finished units are skipped: their
-//! stored report section and decoded result are replayed, so an
+//! deliberately *not* the thread count). With [`ReportMode::resume`]
+//! (`PREBOND3D_RESUME=1`), [`begin`] loads the checkpoint and finished
+//! units are skipped: their stored report section and decoded result are
+//! replayed, so an
 //! interrupted sweep converges to the same final reports as an
 //! uninterrupted one. Without resume, [`begin`] deletes any stale
 //! checkpoint. A fully successful [`finish`] removes the checkpoint.
@@ -56,7 +58,7 @@ use std::time::Instant;
 use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
 use prebond3d_pool as pool;
-use prebond3d_resilience as resil;
+use prebond3d_resilience::{self as resil, ReportMode, RunCtx};
 
 /// Completed-unit map loaded from (and appended to) the checkpoint file.
 struct Checkpoint {
@@ -88,6 +90,8 @@ struct Collector {
     work: Vec<Value>,
     /// Failed-unit records from [`record_failure`].
     failures: Vec<Value>,
+    /// Zero the wall-clock fields at [`finish`] ([`ReportMode::stable_ms`]).
+    stable_ms: bool,
     checkpoint: Checkpoint,
     /// Keeps obs aggregation on until `finish`.
     _recording: obs::RecordingGuard,
@@ -108,15 +112,15 @@ fn config_hash(experiment: &str) -> u64 {
 }
 
 /// Start collecting a run report for `experiment`. Replaces any collector
-/// left over from an earlier, unfinished run. With `PREBOND3D_RESUME=1`
-/// the experiment's checkpoint (if any, and only if its config hash
-/// matches) is loaded so finished units can be skipped; otherwise any
-/// stale checkpoint is deleted and the sweep starts fresh.
-pub fn begin(experiment: &str) {
+/// left over from an earlier, unfinished run. With `mode.resume` the
+/// experiment's checkpoint (if any, and only if its config hash matches)
+/// is loaded so finished units can be skipped; otherwise any stale
+/// checkpoint is deleted and the sweep starts fresh.
+pub fn begin(experiment: &str, mode: ReportMode) {
     let path = report_dir().join(format!("checkpoint_{experiment}.json"));
     let hash = config_hash(experiment);
     let mut done = BTreeMap::new();
-    if resil::resume_enabled() {
+    if mode.resume {
         for line in resil::io::load_checkpoint(&path, hash).unwrap_or_default() {
             match obs::json::parse(&line) {
                 Ok(entry) => {
@@ -152,6 +156,7 @@ pub fn begin(experiment: &str) {
         speedups: Vec::new(),
         work: Vec::new(),
         failures: Vec::new(),
+        stable_ms: mode.stable_ms,
         checkpoint: Checkpoint {
             path,
             hash,
@@ -331,7 +336,7 @@ where
 /// yields `None`, is recorded via [`record_failure`] and the rest of the
 /// sweep completes. Each *successful* unit is appended to the
 /// experiment's checkpoint as `{key, section, result}` (the result
-/// serialized by `encode`), and with `PREBOND3D_RESUME=1` previously
+/// serialized by `encode`), and with [`ReportMode::resume`] previously
 /// finished units are skipped: their stored section is replayed into the
 /// report and their result revived via `decode`. `scope` namespaces the
 /// checkpoint keys, so several scopes (the `all_experiments` driver runs
@@ -621,9 +626,10 @@ pub fn finish() -> Option<PathBuf> {
 }
 
 /// [`finish`], returning the failure/resume tallies the drivers map to
-/// exit codes. Also folds the drained chaos events and degradation
-/// records into the run report, applies the stable-ms normalization, and
-/// removes the checkpoint after a fully successful sweep.
+/// exit codes. Also folds the current run's drained chaos events and
+/// degradation records into the run report, applies the stable-ms
+/// normalization, and removes the checkpoint after a fully successful
+/// sweep.
 pub fn finish_summary() -> Summary {
     let Some(collector) = COLLECTOR.lock().unwrap().take() else {
         return Summary {
@@ -636,7 +642,9 @@ pub fn finish_summary() -> Summary {
     let failures = collector.failures.len();
     let resume_skipped = collector.checkpoint.skipped;
 
-    let degradations: Vec<Value> = resil::degrade::drain()
+    let ctx = RunCtx::current();
+    let degradations: Vec<Value> = ctx
+        .drain_degradations()
         .into_iter()
         .map(|d| {
             Value::obj([
@@ -646,7 +654,8 @@ pub fn finish_summary() -> Summary {
             ])
         })
         .collect();
-    let chaos_events: Vec<Value> = resil::chaos::drain_events()
+    let chaos_events: Vec<Value> = ctx
+        .drain_chaos_events()
         .into_iter()
         .map(|e| {
             Value::obj([
@@ -656,8 +665,8 @@ pub fn finish_summary() -> Summary {
             ])
         })
         .collect();
-    let mut chaos_fields = vec![("armed", Value::Bool(resil::chaos::armed()))];
-    if let Some((seed, rate)) = resil::chaos::config() {
+    let mut chaos_fields = vec![("armed", Value::Bool(ctx.chaos().is_some()))];
+    if let Some((seed, rate)) = ctx.chaos() {
         chaos_fields.push(("seed", seed.into()));
         chaos_fields.push(("rate", rate.into()));
     }
@@ -721,7 +730,7 @@ pub fn finish_summary() -> Summary {
     // thread configuration, so under stable-ms the whole histogram —
     // including its count — is replaced by an empty one.
     let chunk_wait = pool::drain_chunk_wait();
-    let chunk_wait = if resil::stable_ms() {
+    let chunk_wait = if collector.stable_ms {
         obs::hist::Hist::new()
     } else {
         chunk_wait
@@ -736,7 +745,7 @@ pub fn finish_summary() -> Summary {
         ("speedup", Value::Arr(collector.speedups)),
         ("work", Value::Arr(collector.work)),
     ]);
-    if resil::stable_ms() {
+    if collector.stable_ms {
         zero_ms(&mut run_doc);
         zero_ms(&mut bench_doc);
     }
@@ -808,7 +817,7 @@ mod tests {
         let dir = temp_report_dir("rt");
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
 
-        begin("unit");
+        begin("unit", ReportMode::default());
         let v = die_scope("die0", || {
             let _s = obs::span("unit_phase");
             obs::count("unit.counter", 3);
@@ -854,7 +863,7 @@ mod tests {
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
 
         let cases: Vec<u64> = (0..6).collect();
-        begin("unit_par");
+        begin("unit_par", ReportMode::default());
         let outs = pool::with_threads(4, || {
             par_die_scopes(
                 &cases,
@@ -898,7 +907,7 @@ mod tests {
         let dir = temp_report_dir("bench");
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
 
-        begin("unit_bench");
+        begin("unit_bench", ReportMode::default());
         die_scope("die0", || {
             let _s = obs::span("phase_a");
         });
@@ -943,7 +952,7 @@ mod tests {
         let dir = temp_report_dir("fail");
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
 
-        begin("unit_fail");
+        begin("unit_fail", ReportMode::default());
         let outs = resilient_par_die_scopes(
             "t",
             &[1usize, 2, 3],
@@ -983,7 +992,14 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("ckpt");
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-        resil::force_stable_ms(Some(true));
+        let stable = ReportMode {
+            stable_ms: true,
+            resume: false,
+        };
+        let resume = ReportMode {
+            resume: true,
+            ..stable
+        };
 
         let encode = |v: &usize| Value::from(*v);
         let decode = |v: &Value| v.as_u64().map(|n| n as usize);
@@ -994,7 +1010,7 @@ mod tests {
 
         // First run: two of three units succeed, one fails — the
         // checkpoint holds the two and survives `finish`.
-        begin("unit_resume");
+        begin("unit_resume", stable);
         let outs = resilient_par_die_scopes(
             "t",
             &[1usize, 2, 3],
@@ -1013,8 +1029,7 @@ mod tests {
         assert!(ckpt.exists(), "failed sweep keeps its checkpoint");
 
         // Resumed run: the two finished units are skipped, die3 runs.
-        resil::force_resume(Some(true));
-        begin("unit_resume");
+        begin("unit_resume", resume);
         let outs = resilient_par_die_scopes(
             "t",
             &[1usize, 2, 3],
@@ -1025,14 +1040,13 @@ mod tests {
         );
         assert_eq!(outs, vec![Some(10), Some(20), Some(30)]);
         let second = finish_summary();
-        resil::force_resume(None);
         assert_eq!(second.failures, 0);
         assert_eq!(second.resume_skipped, 2);
         assert!(!ckpt.exists(), "successful sweep removes its checkpoint");
 
         // The resumed report equals a from-scratch run byte for byte.
         let resumed = std::fs::read_to_string(second.run_path.expect("report")).unwrap();
-        begin("unit_resume");
+        begin("unit_resume", stable);
         let outs = resilient_par_die_scopes(
             "t",
             &[1usize, 2, 3],
@@ -1049,7 +1063,6 @@ mod tests {
             "resumed and fresh reports are byte-identical"
         );
 
-        resil::force_stable_ms(None);
         std::env::remove_var("PREBOND3D_REPORT_DIR");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1059,16 +1072,19 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("stable");
         std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-        resil::force_stable_ms(Some(true));
-
-        begin("unit_stable");
+        begin(
+            "unit_stable",
+            ReportMode {
+                stable_ms: true,
+                resume: false,
+            },
+        );
         die_scope("die0", || {
             let _s = obs::span("phase_a");
             std::thread::sleep(std::time::Duration::from_millis(2));
         });
         record_speedup("fault_simulation", "x", 2, 10.0, 5.0);
         let run_path = finish().expect("report written");
-        resil::force_stable_ms(None);
         std::env::remove_var("PREBOND3D_REPORT_DIR");
 
         fn assert_zero(v: &Value) {

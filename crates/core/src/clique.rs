@@ -281,9 +281,9 @@ pub fn partition(
     // score — (carries a flip-flop, current degree) — is cached under a
     // generation stamp and recomputed only after a merge or rejection
     // touched that node's neighborhood, instead of on every read the way
-    // the `PREBOND3D_NO_CACHE=1` reference mode does. Recomputes are
-    // tallied as `clique.candidate_rescores`.
-    let score_cache_on = prebond3d_netlist::tuning::cache_enabled();
+    // the run's reference mode (`PREBOND3D_NO_CACHE=1`) does. Recomputes
+    // are tallied as `clique.candidate_rescores`.
+    let score_cache_on = prebond3d_resilience::RunCtx::current().cache_enabled();
     let mut generation: u64 = 1;
     let mut touch_gen: Vec<u64> = vec![1; n];
     let mut score_gen: Vec<u64> = vec![0; n];

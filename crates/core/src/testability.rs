@@ -25,6 +25,7 @@ use prebond3d_dft::{
 };
 use prebond3d_netlist::{cone::ConeSet, BitSet, GateId, GateKind, Netlist};
 use prebond3d_obs as obs;
+use prebond3d_resilience::{fnv1a_more, RunCtx};
 
 /// Predicted/measured impact of letting two nodes share a wrapper cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,8 +119,8 @@ impl TestabilityProbe for StructuralProbe {
 /// Only (scan-FF, TSV) and (TSV, TSV) pairs are meaningful; other node
 /// pairs return [`TestabilityCost::FREE`].
 ///
-/// Unless `PREBOND3D_NO_CACHE=1` is set, three hot-path optimizations are
-/// active (see DESIGN.md §11):
+/// Unless the run is in reference mode (`PREBOND3D_NO_CACHE=1`), three
+/// hot-path optimizations are active (see DESIGN.md §11):
 ///
 /// * every `(pair, shared)` measurement is memoized under a deterministic
 ///   cone-signature key (`probe.cache_hits` / `probe.cache_misses`),
@@ -163,14 +164,6 @@ impl DedicatedCtx {
 impl Default for AtpgProbe {
     fn default() -> Self {
         AtpgProbe::with_config(AtpgConfig::fast())
-    }
-}
-
-/// FNV-1a over a byte slice, folded into `h`.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
 
@@ -343,16 +336,15 @@ impl AtpgProbe {
         b: GateId,
         shared: bool,
     ) -> (f64, usize) {
-        let mut key = netlist_sig(netlist);
-        fnv1a(&mut key, &[shared as u8]);
+        let mut key = fnv1a_more(netlist_sig(netlist), &[shared as u8]);
         if shared {
             // The shared plan wires the wrapper to these exact nodes; the
             // dedicated plan is pair-independent, so its key is not.
-            fnv1a(&mut key, &a.0.to_le_bytes());
-            fnv1a(&mut key, &b.0.to_le_bytes());
+            key = fnv1a_more(key, &a.0.to_le_bytes());
+            key = fnv1a_more(key, &b.0.to_le_bytes());
         }
         for &w in union.words() {
-            fnv1a(&mut key, &w.to_le_bytes());
+            key = fnv1a_more(key, &w.to_le_bytes());
         }
         if let Some(&hit) = self.cache.lock().unwrap().get(&key) {
             obs::count("probe.cache_hits", 1);
@@ -415,7 +407,7 @@ impl TestabilityProbe for AtpgProbe {
         // One latency sample per pair probed: the count is the number of
         // probe calls (thread-invariant), the values wall-clock.
         let probe_t0 = obs::is_active().then(std::time::Instant::now);
-        let cached = prebond3d_netlist::tuning::cache_enabled();
+        let cached = RunCtx::current().cache_enabled();
         let union = if cached {
             match (
                 cones.fanin(a),

@@ -10,6 +10,7 @@
 use crate::bitset::BitSet;
 use crate::gate::GateId;
 use crate::netlist::Netlist;
+use prebond3d_resilience::RunCtx;
 
 /// The transitive fan-in cone of `root`, i.e. every gate whose output can
 /// combinationally influence `root`'s value.
@@ -70,10 +71,10 @@ pub fn fanout_cone(netlist: &Netlist, root: GateId) -> BitSet {
 /// pure bitset intersections. On top of the raw cones the set caches each
 /// cone's non-zero word span and population at compute time, so overlap
 /// queries only walk the words where both cones can have bits (DESIGN.md
-/// §11) — with `PREBOND3D_NO_CACHE=1` the spans are ignored and every
-/// query walks the full word width, the reference mode the equivalence
-/// sweep and the bench perf probe compare against. Every word actually
-/// examined is tallied in a relaxed atomic, readable via
+/// §11) — in the run's reference mode (`PREBOND3D_NO_CACHE=1`) the spans
+/// are ignored and every query walks the full word width, the mode the
+/// equivalence sweep and the bench perf probe compare against. Every word
+/// actually examined is tallied in a relaxed atomic, readable via
 /// [`Self::word_ops`]; the tally is exact at any thread count because it
 /// only ever accumulates.
 #[derive(Debug)]
@@ -88,7 +89,7 @@ pub struct ConeSet {
     fanin_pop: Vec<usize>,
     fanout_pop: Vec<usize>,
     index_of: std::collections::HashMap<GateId, usize>,
-    /// Captured from [`crate::tuning::cache_enabled`] at compute time.
+    /// The current run's `cache_enabled()`, captured at compute time.
     use_spans: bool,
     word_ops: std::sync::atomic::AtomicU64,
 }
@@ -134,7 +135,7 @@ impl ConeSet {
             fanin,
             fanout,
             index_of,
-            use_spans: crate::tuning::cache_enabled(),
+            use_spans: RunCtx::current().cache_enabled(),
             word_ops: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -379,13 +380,10 @@ mod tests {
 
     #[test]
     fn span_mode_and_reference_mode_agree_and_count_work() {
-        let _l = crate::tuning::TEST_LOCK.lock().unwrap();
         let (n, g1, g2, _) = two_trees();
-        crate::tuning::force_no_cache(Some(false));
         let fast = ConeSet::compute(&n, &[g1, g2]);
-        crate::tuning::force_no_cache(Some(true));
-        let slow = ConeSet::compute(&n, &[g1, g2]);
-        crate::tuning::force_no_cache(None);
+        let reference = RunCtx::default().with_reference(true);
+        let slow = RunCtx::scope(&reference, || ConeSet::compute(&n, &[g1, g2]));
 
         assert_eq!(
             fast.try_cones_overlap(g1, g2),

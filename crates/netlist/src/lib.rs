@@ -44,7 +44,6 @@ pub mod itc99;
 pub mod netlist;
 pub mod stats;
 pub mod traverse;
-pub mod tuning;
 pub mod verilog;
 
 pub use bitset::BitSet;

@@ -228,21 +228,15 @@ impl Netlist {
     /// work per netlist (`AtpgProbe`, the serve warm cache): a mutated
     /// netlist that keeps a colliding module name must still miss.
     pub fn signature(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.gates.len() as u64).to_le_bytes());
+        use prebond3d_resilience::{fnv1a, fnv1a_more};
+        let mut h = fnv1a_more(
+            fnv1a(self.name.as_bytes()),
+            &(self.gates.len() as u64).to_le_bytes(),
+        );
         for gate in &self.gates {
-            eat(&[gate.kind as u8]);
+            h = fnv1a_more(h, &[gate.kind as u8]);
             for &input in &gate.inputs {
-                eat(&input.0.to_le_bytes());
+                h = fnv1a_more(h, &input.0.to_le_bytes());
             }
         }
         h

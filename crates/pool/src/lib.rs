@@ -45,7 +45,7 @@ use std::ops::Range;
 
 use prebond3d_obs::hist::Hist;
 use prebond3d_obs::trace;
-use prebond3d_resilience::chaos;
+use prebond3d_resilience::{chaos, RunCtx};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -188,11 +188,10 @@ where
     let next = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(nchunks));
-    // A budgeted caller (e.g. a serving job running under a per-job
-    // `budget_ms`) keeps its budget inside the parallel region: the
-    // thread-local override is copied into every worker, so deadlines
-    // constructed there expire exactly as they would inline.
-    let inherited_budget = prebond3d_resilience::budget::thread_budget();
+    // The caller's run context (budget, reference mode, lanes, chaos,
+    // degradation sink) is copied into every worker, so the region runs
+    // exactly as it would inline and reports into the caller's run.
+    let ctx = RunCtx::current();
 
     std::thread::scope(|s| {
         // RAII worker marker: cleared even when `work` unwinds, so the
@@ -232,11 +231,11 @@ where
                 let results = &results;
                 let init = &init;
                 let work = &work;
+                let ctx = &ctx;
                 s.spawn(move || {
+                    let _ctx = ctx.enter();
                     let _mark = WorkerMark::enter();
                     let _poison = PoisonOnPanic(poisoned);
-                    let _budget =
-                        prebond3d_resilience::budget::install_thread_budget(inherited_budget);
                     if traced {
                         // Name the track before the first claim, so every
                         // spawned worker appears in the timeline even when
@@ -438,5 +437,20 @@ mod tests {
             )
         });
         assert_eq!(folded, items);
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_ctx() {
+        let ctx = RunCtx::default().with_budget_ms(Some(9));
+        let budgets = RunCtx::scope(&ctx, || {
+            with_threads(4, || {
+                par_map_chunked(&[0u32; 8], 1, |_| {
+                    prebond3d_resilience::degrade::record("pool", "test", "in a worker");
+                    RunCtx::current().budget_ms()
+                })
+            })
+        });
+        assert_eq!(budgets, [Some(9); 8]);
+        assert_eq!(ctx.drain_degradations().len(), 8, "workers share the sink");
     }
 }

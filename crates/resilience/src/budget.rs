@@ -1,19 +1,22 @@
 //! Cooperative phase deadlines.
 //!
-//! `PREBOND3D_BUDGET_MS=<ms>` gives every *phase* (PODEM search, fault
-//! simulation, clique merging, annealing, exact search) the same wall-clock
-//! budget, counted from the moment the phase constructs its [`Deadline`].
+//! A run's `budget_ms` ([`crate::RunCtx::with_budget_ms`], or
+//! `PREBOND3D_BUDGET_MS=<ms>` at the binary edge) gives every *phase*
+//! (PODEM search, fault simulation, clique merging, annealing, exact
+//! search) the same wall-clock budget, counted from the moment the phase
+//! constructs its [`Deadline`].
 //! The long loops poll [`Deadline::expired`] every few hundred iterations
 //! and degrade gracefully on expiry: PODEM aborts the fault with a reason,
 //! annealing returns best-so-far, exact clique search returns its
 //! incumbent with `optimal = false`. Each such degradation is recorded via
-//! [`crate::degrade`] so the run report names what was cut short.
+//! [`crate::degrade`] so the run report names what was cut short. A serve
+//! job's own `budget_ms` is just its ctx's budget, and the pool copies
+//! the ctx into its workers, so parallel phases see the same deadline.
 //!
 //! When no budget is configured, [`Deadline::none`] is returned and every
 //! check is a branch on `Option::None` — no clock reads, so unbudgeted
 //! runs stay exactly as deterministic as before.
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A point in time after which a phase should wind down. `Copy`, cheap to
@@ -37,14 +40,11 @@ impl Deadline {
         }
     }
 
-    /// The deadline for a phase starting now: `PREBOND3D_BUDGET_MS` from
-    /// the environment (or the [`force_budget_ms`] override), else
-    /// [`Deadline::none`].
+    /// The deadline for a phase starting now under the current run's
+    /// budget ([`Deadline::none`] when it has none).
     pub fn for_phase() -> Self {
-        match budget_ms() {
-            Some(ms) => Deadline::in_ms(ms),
-            None => Deadline::none(),
-        }
+        let budget_ms = crate::ctx::with_current(|ctx| ctx.budget_ms);
+        budget_ms.map_or_else(Deadline::none, Deadline::in_ms)
     }
 
     /// Has the budget run out? `false` forever for [`Deadline::none`].
@@ -65,89 +65,6 @@ impl Default for Deadline {
     fn default() -> Self {
         Deadline::none()
     }
-}
-
-/// `-2` = unset (consult env), `-1` = forced off, `>= 0` = forced value.
-static BUDGET_OVERRIDE: AtomicI64 = AtomicI64::new(-2);
-
-thread_local! {
-    /// Per-thread budget override: `None` = no override (fall through to
-    /// the process override / environment), `Some(Some(ms))` = this thread
-    /// runs under an `ms`-millisecond phase budget, `Some(None)` = this
-    /// thread explicitly has *no* budget even if the process does.
-    static THREAD_BUDGET: std::cell::Cell<Option<Option<u64>>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The configured per-phase budget in milliseconds, if any. Resolution
-/// order: thread override (a serving job's `budget_ms`), process override
-/// ([`force_budget_ms`]), then `PREBOND3D_BUDGET_MS`.
-pub fn budget_ms() -> Option<u64> {
-    if let Some(thread) = THREAD_BUDGET.with(std::cell::Cell::get) {
-        return thread;
-    }
-    match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => None,
-        ms if ms >= 0 => Some(ms as u64),
-        _ => std::env::var("PREBOND3D_BUDGET_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok()),
-    }
-}
-
-/// The raw thread-local override, for propagating into threads this one
-/// spawns (the pool copies it into its workers so a budgeted serving job
-/// stays budgeted inside parallel regions).
-pub fn thread_budget() -> Option<Option<u64>> {
-    THREAD_BUDGET.with(std::cell::Cell::get)
-}
-
-/// RAII guard restoring the previous thread budget on drop.
-#[must_use = "dropping the guard immediately undoes the override"]
-pub struct ThreadBudgetGuard {
-    prev: Option<Option<u64>>,
-}
-
-impl Drop for ThreadBudgetGuard {
-    fn drop(&mut self) {
-        THREAD_BUDGET.with(|t| t.set(self.prev));
-    }
-}
-
-/// Install a thread-local budget override (see [`budget_ms`] for the
-/// resolution order) until the returned guard drops. Pass a value read
-/// from [`thread_budget`] to inherit a spawning thread's override.
-pub fn install_thread_budget(v: Option<Option<u64>>) -> ThreadBudgetGuard {
-    let prev = THREAD_BUDGET.with(|t| t.replace(v));
-    ThreadBudgetGuard { prev }
-}
-
-/// Run `f` with this thread budgeted to `ms` milliseconds per phase
-/// (`None` leaves the ambient configuration untouched). The override is
-/// restored on exit, panics included.
-pub fn with_thread_budget_ms<R>(ms: Option<u64>, f: impl FnOnce() -> R) -> R {
-    let _guard = ms.map(|ms| install_thread_budget(Some(Some(ms))));
-    f()
-}
-
-/// Is a phase budget configured at all? (`lintflow` consults this to
-/// allow-list the timing violations a truncated search can leave behind.)
-pub fn budget_armed() -> bool {
-    budget_ms().is_some()
-}
-
-/// Force the per-phase budget for this process regardless of the
-/// environment; `Some(None)` forces *no* budget, `None` restores
-/// env-driven behavior. Test hook.
-pub fn force_budget_ms(v: Option<Option<u64>>) {
-    BUDGET_OVERRIDE.store(
-        match v {
-            None => -2,
-            Some(None) => -1,
-            Some(Some(ms)) => i64::try_from(ms).unwrap_or(i64::MAX),
-        },
-        Ordering::Relaxed,
-    );
 }
 
 #[cfg(test)]
@@ -175,49 +92,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_beats_process_override_and_restores() {
-        force_budget_ms(Some(Some(500)));
-        assert_eq!(budget_ms(), Some(500));
-        let out = with_thread_budget_ms(Some(7), || {
-            assert_eq!(budget_ms(), Some(7));
-            assert_eq!(thread_budget(), Some(Some(7)));
-            // An inner "no budget" override wins over everything.
-            let g = install_thread_budget(Some(None));
-            assert_eq!(budget_ms(), None);
-            drop(g);
-            budget_ms()
-        });
-        assert_eq!(out, Some(7));
-        assert_eq!(budget_ms(), Some(500), "thread override restored");
-        assert_eq!(thread_budget(), None);
-        // `None` means "do not override".
-        with_thread_budget_ms(None, || assert_eq!(budget_ms(), Some(500)));
-        force_budget_ms(None);
-    }
-
-    #[test]
-    fn thread_override_is_thread_local() {
-        let _g = install_thread_budget(Some(Some(3)));
-        assert_eq!(budget_ms(), Some(3));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(thread_budget(), None, "fresh threads are unbudgeted");
-                let _inner = install_thread_budget(thread_budget());
-                assert_eq!(thread_budget(), None);
-            });
-        });
-        assert_eq!(budget_ms(), Some(3));
-    }
-
-    #[test]
-    fn override_beats_environment() {
-        force_budget_ms(Some(Some(5)));
-        assert_eq!(budget_ms(), Some(5));
-        assert!(budget_armed());
-        assert!(Deadline::for_phase().is_armed());
-        force_budget_ms(Some(None));
-        assert_eq!(budget_ms(), None);
+    fn phases_take_the_current_run_budget() {
         assert!(!Deadline::for_phase().is_armed());
-        force_budget_ms(None);
+        let ctx = crate::RunCtx::default().with_budget_ms(Some(0));
+        crate::RunCtx::scope(&ctx, || {
+            let d = Deadline::for_phase();
+            assert!(d.is_armed() && d.expired());
+        });
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic, seeded fault injection.
 //!
-//! `PREBOND3D_CHAOS=<seed>:<rate>` arms the registry: every instrumented
+//! `PREBOND3D_CHAOS=<seed>:<rate>` arms injection: every instrumented
 //! site keeps a per-site call counter, and call `k` at site `s` injects a
 //! fault iff `fnv1a(seed ‖ s ‖ k)` maps below `rate` — reproducible for a
 //! given seed regardless of what else the process does at *other* sites
@@ -15,13 +15,16 @@
 //! | `io.write`      | `io::Error` on a report/checkpoint write |
 //! | `obs.sink`      | `io::Error` on a trace-sink write      |
 //!
-//! Every injection is recorded in a process-global event log that the
-//! bench collector drains into the run report, so the chaos suite can
-//! assert each injected fault was recovered, degraded, or reported.
+//! The configuration, the counters and the event log belong to one run:
+//! they live in its [`crate::RunCtx`] (armed by `PREBOND3D_CHAOS` at the binary
+//! edge, or [`crate::RunCtx::with_chaos`]), and the bench collector drains the
+//! log into the run report, so the chaos suite can assert each injected
+//! fault was recovered, degraded, or reported. With no chaos in the
+//! current ctx every site is a no-op.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
+use crate::ctx::with_current;
 use crate::{fnv1a, fnv1a_more};
 
 /// What an instrumented site does when its roll comes up.
@@ -57,123 +60,101 @@ pub struct ChaosEvent {
     pub seq: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Config {
+/// A run's armed chaos state: the `(seed, rate)` plus the per-site call
+/// counters and the event log, shared by every thread of the run through
+/// its [`crate::RunCtx`].
+#[derive(Debug)]
+pub struct Chaos {
     seed: u64,
     /// Injection probability in [0, 1].
     rate: f64,
-}
-
-struct Registry {
-    config: Option<Config>,
     /// `site → calls so far` (site names are interned `&'static str`s).
-    counters: Mutex<Vec<(&'static str, AtomicU64)>>,
+    counters: Mutex<Vec<(&'static str, u64)>>,
     events: Mutex<Vec<ChaosEvent>>,
 }
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn parse_env(v: &str) -> Option<Config> {
-    let (seed, rate) = v.split_once(':')?;
-    let seed = seed.trim().parse::<u64>().ok()?;
-    let rate = rate.trim().parse::<f64>().ok()?;
-    if !(0.0..=1.0).contains(&rate) {
-        eprintln!("[chaos] PREBOND3D_CHAOS rate {rate} outside [0,1]; chaos stays off");
-        return None;
-    }
-    Some(Config { seed, rate })
-}
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let config = std::env::var("PREBOND3D_CHAOS")
-            .ok()
-            .as_deref()
-            .and_then(|v| {
-                let parsed = parse_env(v);
-                if parsed.is_none() && !v.trim().is_empty() {
-                    eprintln!("[chaos] cannot parse PREBOND3D_CHAOS=`{v}` (want `<seed>:<rate>`)");
-                }
-                parsed
-            });
-        Registry {
-            config,
+impl Chaos {
+    pub(crate) fn new(seed: u64, rate: f64) -> Self {
+        Chaos {
+            seed,
+            rate,
             counters: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
         }
-    })
-}
-
-/// Programmatic override for the chaos suite: arm with `(seed, rate)` or
-/// disarm with `None`. Must be called before the first site is exercised
-/// in env-armed processes only if the env is unset; in practice the tests
-/// run with the env unset and install per-seed configs between runs.
-pub fn install(config: Option<(u64, f64)>) {
-    let reg = registry();
-    // OnceLock holds the registry; the config lives behind a second cell
-    // so tests can swap seeds. Interior mutability via a dedicated lock.
-    OVERRIDE
-        .get_or_init(|| Mutex::new(None))
-        .lock()
-        .unwrap()
-        .replace(config.map(|(seed, rate)| Config { seed, rate }));
-    // Reset per-site counters and the event log for the new run.
-    reg.counters.lock().unwrap().clear();
-    reg.events.lock().unwrap().clear();
-}
-
-static OVERRIDE: OnceLock<Mutex<Option<Option<Config>>>> = OnceLock::new();
-
-fn active_config() -> Option<Config> {
-    if let Some(m) = OVERRIDE.get() {
-        if let Some(over) = *m.lock().unwrap() {
-            return over;
-        }
     }
-    registry().config
-}
 
-/// Is chaos injection armed at all?
-pub fn armed() -> bool {
-    active_config().is_some()
-}
+    pub(crate) fn config(&self) -> (u64, f64) {
+        (self.seed, self.rate)
+    }
 
-/// The armed `(seed, rate)`, if any — echoed into the run report so a
-/// failing chaos run names its own reproduction recipe.
-pub fn config() -> Option<(u64, f64)> {
-    active_config().map(|c| (c.seed, c.rate))
-}
+    pub(crate) fn drain(&self) -> Vec<ChaosEvent> {
+        std::mem::take(&mut *self.events.lock().unwrap())
+    }
 
-/// Decide-and-count one call at `site`. Returns the 1-based call index
-/// when this call injects.
-fn roll(site: &'static str) -> Option<u64> {
-    let cfg = active_config()?;
-    let reg = registry();
-    let seq = {
-        let mut counters = reg.counters.lock().unwrap();
-        match counters.iter().find(|(s, _)| *s == site) {
-            Some((_, c)) => c.fetch_add(1, Ordering::Relaxed) + 1,
-            None => {
-                counters.push((site, AtomicU64::new(1)));
-                1
+    /// Decide-and-count one call at `site`. Returns the 1-based call
+    /// index when this call injects.
+    fn roll(&self, site: &'static str) -> Option<u64> {
+        let seq = {
+            let mut counters = self.counters.lock().unwrap();
+            match counters.iter_mut().find(|(s, _)| *s == site) {
+                Some((_, c)) => {
+                    *c += 1;
+                    *c
+                }
+                None => {
+                    counters.push((site, 1));
+                    1
+                }
             }
+        };
+        let h = fnv1a_more(
+            fnv1a_more(fnv1a(&self.seed.to_le_bytes()), site.as_bytes()),
+            &seq.to_le_bytes(),
+        );
+        // Top 53 bits → uniform fraction in [0, 1).
+        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
+        (frac < self.rate).then_some(seq)
+    }
+}
+
+/// Parse a `PREBOND3D_CHAOS` value (`<seed>:<rate>`), warning on stderr
+/// and leaving chaos off when it is malformed or the rate is outside
+/// [0, 1].
+pub(crate) fn parse_config(v: &str) -> Option<(u64, f64)> {
+    let parsed = v.split_once(':').and_then(|(seed, rate)| {
+        Some((
+            seed.trim().parse::<u64>().ok()?,
+            rate.trim().parse::<f64>().ok()?,
+        ))
+    });
+    match parsed {
+        Some((_, rate)) if !(0.0..=1.0).contains(&rate) => {
+            eprintln!("[chaos] PREBOND3D_CHAOS rate {rate} outside [0,1]; chaos stays off");
+            None
         }
-    };
-    let h = fnv1a_more(
-        fnv1a_more(fnv1a(&cfg.seed.to_le_bytes()), site.as_bytes()),
-        &seq.to_le_bytes(),
-    );
-    // Top 53 bits → uniform fraction in [0, 1).
-    let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-    (frac < cfg.rate).then_some(seq)
+        None if !v.trim().is_empty() => {
+            eprintln!("[chaos] cannot parse PREBOND3D_CHAOS=`{v}` (want `<seed>:<rate>`)");
+            None
+        }
+        other => other,
+    }
+}
+
+/// Roll at `site` against the current run's chaos state.
+fn roll(site: &'static str) -> Option<u64> {
+    with_current(|ctx| ctx.chaos.as_ref()?.roll(site))
 }
 
 fn record(site: &'static str, kind: ChaosKind, seq: u64) {
-    registry()
-        .events
-        .lock()
-        .unwrap()
-        .push(ChaosEvent { site, kind, seq });
+    with_current(|ctx| {
+        if let Some(chaos) = &ctx.chaos {
+            chaos
+                .events
+                .lock()
+                .unwrap()
+                .push(ChaosEvent { site, kind, seq });
+        }
+    });
     crate::hooks::emit("chaos", site, kind.label());
 }
 
@@ -222,47 +203,51 @@ pub fn perturb(site: &'static str, value: f64) -> f64 {
     }
 }
 
-/// Drain the event log (the collector calls this once per `finish`).
-pub fn drain_events() -> Vec<ChaosEvent> {
-    std::mem::take(&mut *registry().events.lock().unwrap())
-}
-
-/// Copy of the event log without draining (test assertions).
-pub fn events() -> Vec<ChaosEvent> {
-    registry().events.lock().unwrap().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as TestMutex;
+    use crate::RunCtx;
 
-    // Chaos config is process-global; serialize the tests that touch it.
-    static LOCK: TestMutex<()> = TestMutex::new(());
+    /// Run `f` under a fresh ctx armed with `(seed, rate)`.
+    fn armed<R>(seed: u64, rate: f64, f: impl FnOnce() -> R) -> (R, RunCtx) {
+        let ctx = RunCtx::default().with_chaos(seed, rate);
+        (RunCtx::scope(&ctx, f), ctx)
+    }
 
     #[test]
     fn unarmed_sites_are_noops() {
-        let _l = LOCK.lock().unwrap();
-        install(None);
-        maybe_panic("test.site");
-        assert!(io_error("test.site").is_none());
-        assert_eq!(perturb("test.site", 1.25), 1.25);
-        assert!(drain_events().is_empty());
-        install(None);
+        let ctx = RunCtx::default();
+        RunCtx::scope(&ctx, || {
+            maybe_panic("test.site");
+            assert!(io_error("test.site").is_none());
+            assert_eq!(perturb("test.site", 1.25), 1.25);
+        });
+        assert!(ctx.drain_chaos_events().is_empty());
+    }
+
+    /// Which of 64 calls at `site` fire under `(seed, rate)`, with a call
+    /// to `other` before each one when given.
+    fn schedule(
+        seed: u64,
+        rate: f64,
+        site: &'static str,
+        other: Option<&'static str>,
+    ) -> Vec<bool> {
+        let calls = || {
+            (0..64)
+                .map(|_| {
+                    other.map(|o| perturb(o, 0.0));
+                    io_error(site).is_some()
+                })
+                .collect()
+        };
+        armed(seed, rate, calls).0
     }
 
     #[test]
     fn injection_is_deterministic_per_seed() {
-        let _l = LOCK.lock().unwrap();
-        let fire_pattern = |seed: u64| -> Vec<bool> {
-            install(Some((seed, 0.3)));
-            let fired: Vec<bool> = (0..64).map(|_| io_error("det.site").is_some()).collect();
-            install(None);
-            fired
-        };
-        let a = fire_pattern(7);
-        let b = fire_pattern(7);
-        let c = fire_pattern(8);
+        let run = |seed| schedule(seed, 0.3, "det.site", None);
+        let (a, b, c) = (run(7), run(7), run(8));
         assert_eq!(a, b, "same seed, same schedule");
         assert_ne!(a, c, "different seed, different schedule");
         assert!(a.iter().any(|&f| f), "rate 0.3 over 64 calls must fire");
@@ -271,42 +256,51 @@ mod tests {
 
     #[test]
     fn sites_roll_independently() {
-        let _l = LOCK.lock().unwrap();
-        install(Some((12, 0.5)));
-        let a: Vec<bool> = (0..32).map(|_| io_error("site.a").is_some()).collect();
-        install(Some((12, 0.5)));
-        // Interleave calls to another site; site.a's schedule must not move.
-        let b: Vec<bool> = (0..32)
-            .map(|_| {
-                let _ = perturb("site.b", 0.0);
-                io_error("site.a").is_some()
-            })
-            .collect();
-        install(None);
-        assert_eq!(a, b, "per-site counters isolate sites");
+        // Interleaved calls to another site must not move site.a's schedule.
+        assert_eq!(
+            schedule(12, 0.5, "site.a", None),
+            schedule(12, 0.5, "site.a", Some("site.b")),
+            "per-site counters isolate sites"
+        );
     }
 
     #[test]
     fn panic_payload_names_the_site() {
-        let _l = LOCK.lock().unwrap();
-        install(Some((3, 1.0)));
-        let err = std::panic::catch_unwind(|| maybe_panic("boom.site")).unwrap_err();
+        let (err, ctx) = armed(3, 1.0, || {
+            std::panic::catch_unwind(|| maybe_panic("boom.site")).unwrap_err()
+        });
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("chaos[boom.site]"), "{msg}");
-        let evs = drain_events();
+        let evs = ctx.drain_chaos_events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, ChaosKind::Panic);
-        install(None);
     }
 
     #[test]
     fn perturbation_yields_non_finite() {
-        let _l = LOCK.lock().unwrap();
-        install(Some((4, 1.0)));
-        let v1 = perturb("nan.site", 10.0);
-        let v2 = perturb("nan.site", 10.0);
-        install(None);
+        let ((v1, v2), _) = armed(4, 1.0, || (perturb("n", 10.0), perturb("n", 10.0)));
         assert!(!v1.is_finite() && !v2.is_finite());
         assert!(v1.is_nan() != v2.is_nan(), "alternates NaN and infinity");
+    }
+
+    #[test]
+    fn concurrent_runs_keep_their_own_counters_and_logs() {
+        let (on, off) = std::thread::scope(|s| {
+            let on = s.spawn(|| armed(5, 1.0, || io_error("x.site").is_some()));
+            let off = s.spawn(|| armed(5, 0.0, || io_error("x.site").is_some()));
+            (on.join().unwrap(), off.join().unwrap())
+        });
+        assert!(on.0 && !off.0);
+        assert_eq!(on.1.drain_chaos_events().len(), 1);
+        assert!(off.1.drain_chaos_events().is_empty());
+        assert_eq!(on.1.chaos(), Some((5, 1.0)));
+    }
+
+    #[test]
+    fn config_parsing_rejects_bad_values() {
+        assert_eq!(parse_config("7:0.25"), Some((7, 0.25)));
+        for bad in ["7:1.5", "garbage", ""] {
+            assert_eq!(parse_config(bad), None, "{bad}");
+        }
     }
 }

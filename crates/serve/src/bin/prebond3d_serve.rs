@@ -15,10 +15,13 @@
 //! crash and replay on the next start with the same path. `--paused`
 //! starts with the queue held — submits are accepted and journaled but
 //! nothing runs until a client sends the `resume` op (maintenance holds
-//! and deterministic crash drills).
+//! and deterministic crash drills). The `PREBOND3D_*` run switches
+//! (`NO_CACHE`, `LANES`, `BUDGET_MS`, `CHAOS`) are read once here into the
+//! server's base run context.
 
 use std::process::ExitCode;
 
+use prebond3d_resilience::RunCtx;
 use prebond3d_serve::{Bind, Server, ServerConfig};
 
 struct Args {
@@ -33,7 +36,10 @@ fn usage() -> &'static str {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut config = ServerConfig::default();
+    let mut config = ServerConfig {
+        ctx: RunCtx::from_env().0,
+        ..ServerConfig::default()
+    };
     let mut port_file = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {

@@ -23,11 +23,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use prebond3d_celllib::Library;
-use prebond3d_netlist::{format, itc99, tuning, Netlist};
+use prebond3d_netlist::{format, itc99, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
 use prebond3d_place::{place, PlaceConfig, Placement};
-use prebond3d_resilience as resil;
+use prebond3d_resilience::{self as resil, RunCtx};
 use prebond3d_wcm::flow::{run_flow_with_probe, FlowConfig, FlowResult};
 use prebond3d_wcm::testability::{AtpgProbe, StructuralProbe, TestabilityProbe};
 
@@ -39,7 +39,7 @@ use crate::proto::{method_wire, scenario_wire, JobSource, JobSpec, ProbeKind};
 pub struct JobOutcome {
     /// Per-job exit code (0–4; see the module table).
     pub code: i32,
-    /// `hit` / `miss` / `bypass` (cache disabled via `PREBOND3D_NO_CACHE`).
+    /// `hit` / `miss` / `bypass` (the server ctx is in reference mode).
     pub cache_tag: &'static str,
     /// `phase` frames (per-span telemetry), in completion order.
     pub phases: Vec<Value>,
@@ -216,22 +216,23 @@ fn report_json(spec: &JobSpec, s: &JobSuccess) -> Value {
     Value::obj(fields)
 }
 
-/// Run one job to its terminal frame. Never panics; never poisons shared
-/// state (the flow's own locks are per-probe and per-call).
-pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
+/// Run one job to its terminal frame under `base` (the server's ctx) with
+/// the job's own `budget_ms`, when it names one, and a fresh degradation
+/// sink: the `degradations` it reports are exactly its own, whatever else
+/// is in flight. Never panics; never poisons shared state (the flow's own
+/// locks are per-probe and per-call).
+pub fn run_job(spec: &JobSpec, cache: &WarmCache, base: &RunCtx) -> JobOutcome {
     let t0 = Instant::now();
-    // Events recorded before this job are not its degradations. This is a
-    // process-global registry, so attribution across *concurrent* jobs is
-    // coarse (documented in DESIGN.md §13): a degradation is charged to
-    // every job in flight when it drains.
-    let stale = resil::degrade::drain();
-    drop(stale);
+    let ctx = base
+        .clone()
+        .with_budget_ms(spec.budget_ms.or(base.budget_ms()))
+        .with_new_sink();
 
     let cache_tag = std::cell::Cell::new("miss");
     let cached_key = std::cell::Cell::new(None::<u64>);
     let body = || -> Result<JobSuccess, JobFail> {
         let key = source_key(&spec.source).map_err(JobFail::Bad)?;
-        let entry: Arc<WarmEntry> = if tuning::cache_enabled() {
+        let entry: Arc<WarmEntry> = if ctx.cache_enabled() {
             match cache.lookup(key) {
                 Some(hit) => {
                     cache_tag.set("hit");
@@ -247,7 +248,7 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
             cache_tag.set("bypass");
             Arc::new(build_entry(&spec.source).map_err(JobFail::Bad)?)
         };
-        if tuning::cache_enabled() {
+        if ctx.cache_enabled() {
             cached_key.set(Some(key));
         }
         // --- Static admission gate (DESIGN.md §14) ----------------------
@@ -284,11 +285,10 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
             sig,
         })
     };
-    // A per-job `budget_ms` overrides the ambient phase budget on this
-    // worker thread for the duration of the job; the pool copies the
-    // override into its scoped workers, so parallel phases (ATPG pair
-    // scans, fault sim) see the same deadline the job asked for.
-    let (result, snap) = resil::budget::with_thread_budget_ms(spec.budget_ms, || {
+    // The pool copies the job's ctx into its scoped workers, so parallel
+    // phases (ATPG pair scans, fault sim) see the deadline the job asked
+    // for and record into the job's sink.
+    let (result, snap) = RunCtx::scope(&ctx, || {
         obs::capture_recorded(|| catch_unwind(AssertUnwindSafe(body)))
     });
 
@@ -298,7 +298,7 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
         cache.reweigh(key);
     }
 
-    let degradations = resil::degrade::drain();
+    let degradations = ctx.drain_degradations();
     let mut boundary_issues: Option<Vec<String>> = None;
     let (code, report, error) = match result {
         Ok(Ok(success)) => {
@@ -392,6 +392,10 @@ mod tests {
     use crate::proto::parse_request;
     use crate::proto::Request;
 
+    fn run(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
+        run_job(spec, cache, &RunCtx::default())
+    }
+
     fn spec(line: &str) -> JobSpec {
         match parse_request(line).unwrap() {
             Request::Submit(s) => *s,
@@ -402,7 +406,7 @@ mod tests {
     #[test]
     fn unknown_circuit_is_code_2() {
         let cache = WarmCache::new(1 << 20);
-        let out = run_job(&spec(r#"{"op":"submit","id":"x","circuit":"b99"}"#), &cache);
+        let out = run(&spec(r#"{"op":"submit","id":"x","circuit":"b99"}"#), &cache);
         assert_eq!(out.code, 2);
         assert_eq!(
             out.done.get("error").and_then(Value::as_str).unwrap(),
@@ -414,12 +418,12 @@ mod tests {
     #[test]
     fn out_of_range_die_and_bad_inline_are_code_2() {
         let cache = WarmCache::new(1 << 20);
-        let out = run_job(
+        let out = run(
             &spec(r#"{"op":"submit","id":"x","circuit":"b11","die":99}"#),
             &cache,
         );
         assert_eq!(out.code, 2);
-        let out = run_job(
+        let out = run(
             &spec(r#"{"op":"submit","id":"x","netlist":"not a netlist"}"#),
             &cache,
         );
@@ -433,7 +437,7 @@ mod tests {
         // configuration can exercise the boundary, so the gate refuses
         // the job before the flow runs.
         let line = r#"{"op":"submit","id":"r","netlist":"circuit bad\na = input()\nc1 = const1()\ng = or(a, c1)\nto = tsv_out(g)\no = output(a)\n"}"#;
-        let out = run_job(&spec(line), &cache);
+        let out = run(&spec(line), &cache);
         assert_eq!(out.code, 1, "{:?}", out.done.get("error"));
         let error = out.done.get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains("boundary statically untestable"), "{error}");
@@ -489,7 +493,7 @@ mod tests {
         let cache = WarmCache::new(256 << 20);
         let line =
             r#"{"op":"submit","id":"b","circuit":"b11","die":0,"probe":"atpg","budget_ms":0}"#;
-        let out = run_job(&spec(line), &cache);
+        let out = run(&spec(line), &cache);
         assert_eq!(out.code, 3, "{:?}", out.done.get("error"));
         let n = out.done.get("degraded").and_then(Value::as_u64).unwrap();
         assert!(n > 0);
@@ -509,10 +513,10 @@ mod tests {
     fn repeat_job_hits_the_warm_cache_and_reports_identically() {
         let cache = WarmCache::new(256 << 20);
         let line = r#"{"op":"submit","id":"j","circuit":"b11","die":0,"return_plan":true}"#;
-        let cold = run_job(&spec(line), &cache);
+        let cold = run(&spec(line), &cache);
         assert_eq!(cold.code, 0, "{:?}", cold.done.get("error"));
         assert_eq!(cold.cache_tag, "miss");
-        let warm = run_job(&spec(line), &cache);
+        let warm = run(&spec(line), &cache);
         assert_eq!(warm.code, 0);
         assert_eq!(warm.cache_tag, "hit");
         // The deterministic report must be byte-identical cold vs warm.

@@ -55,6 +55,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use prebond3d_obs::json::Value;
@@ -126,6 +127,9 @@ pub struct Recovery {
 pub struct Journal {
     path: PathBuf,
     file: Mutex<fs::File>,
+    /// Appends that failed (the `stats` op's `journal.append_failed`).
+    /// A server-side count: a failed append is no job's degradation.
+    append_failed: AtomicU64,
 }
 
 /// `{key:016x}` — the wire form of an idempotency key.
@@ -269,6 +273,7 @@ impl Journal {
             Journal {
                 path: path.to_path_buf(),
                 file: Mutex::new(file),
+                append_failed: AtomicU64::new(0),
             },
             recovery,
         ))
@@ -279,25 +284,27 @@ impl Journal {
         &self.path
     }
 
-    /// One fsync'd append. Errors are reported, not fatal: a journal that
-    /// stops persisting degrades durability, never availability.
+    /// Appends that have failed since open.
+    pub fn append_failed(&self) -> u64 {
+        self.append_failed.load(Ordering::Relaxed)
+    }
+
+    /// One fsync'd append. Errors are counted and printed, not fatal: a
+    /// journal that stops persisting degrades durability, never
+    /// availability.
     fn append(&self, entry: &Value) {
         let line = format!("{entry}\n");
         let mut file = self.file.lock().unwrap();
-        let result = resil::chaos::io_error("io.write")
-            .map(Err)
-            .unwrap_or_else(|| {
-                file.write_all(line.as_bytes())
-                    .and_then(|()| file.sync_data())
-            });
+        let result = match resil::chaos::io_error("io.write") {
+            Some(e) => Err(e),
+            None => file
+                .write_all(line.as_bytes())
+                .and_then(|()| file.sync_data()),
+        };
         match result {
             Ok(()) => resil::hooks::emit("journal", "append", &self.path.display().to_string()),
             Err(e) => {
-                resil::degrade::record(
-                    "journal",
-                    "append_failed",
-                    format!("{}: {e}", self.path.display()),
-                );
+                self.append_failed.fetch_add(1, Ordering::Relaxed);
                 eprintln!("[serve] journal append to {} failed: {e}", self.path.display());
             }
         }
@@ -349,6 +356,28 @@ mod tests {
             proto::Request::Submit(s) => *s,
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A failed append is counted on the journal, never charged to the
+    /// job (or whatever else) that happens to be running on the thread.
+    #[test]
+    fn append_failures_are_counted_server_side() {
+        let path = tmp("append_failed");
+        let (journal, _) = Journal::open(&path).unwrap();
+        let caller = resil::RunCtx::default().with_chaos(1, 1.0);
+        resil::RunCtx::scope(&caller, || {
+            journal.accepted(
+                7,
+                &spec(r#"{"op":"submit","id":"a","circuit":"b11","die":0}"#),
+            );
+        });
+        assert_eq!(journal.append_failed(), 1);
+        assert!(caller.drain_degradations().is_empty());
+        assert_eq!(
+            caller.drain_chaos_events().len(),
+            1,
+            "the injection did fire"
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@ use std::time::Duration;
 
 use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
+use prebond3d_resilience::RunCtx;
 
 use cache::WarmCache;
 use journal::{DoneRecord, Journal};
@@ -79,6 +80,12 @@ pub struct ServerConfig {
     /// The ops lever for maintenance holds — and what makes crash drills
     /// deterministic: pause, submit, kill, restart, count the replays.
     pub paused: bool,
+    /// The run context every job starts from (reference mode, lanes,
+    /// budget, chaos). Each job runs under a copy with its own
+    /// `budget_ms` (when it asks for one) and its own degradation sink.
+    /// Defaults to the caller's current ctx; the daemon binary passes
+    /// [`RunCtx::from_env`].
+    pub ctx: RunCtx,
 }
 
 impl Default for ServerConfig {
@@ -92,6 +99,7 @@ impl Default for ServerConfig {
             queue_bytes: default_queue_bytes(),
             write_timeout_ms: default_write_timeout_ms(),
             paused: false,
+            ctx: RunCtx::current(),
         }
     }
 }
@@ -206,6 +214,8 @@ struct Shared {
     write_timeout_ms: u64,
     /// Corrupt journal lines skipped at the last recovery.
     journal_corrupt_lines: u64,
+    /// Base run context of every job (see [`ServerConfig::ctx`]).
+    ctx: RunCtx,
 }
 
 /// How long a shed client should back off, by queue depth at the shed.
@@ -352,6 +362,13 @@ impl Shared {
                     ),
                     ("deduped", self.stats.deduped.load(Ordering::Relaxed).into()),
                     ("corrupt_lines", self.journal_corrupt_lines.into()),
+                    (
+                        "append_failed",
+                        self.journal
+                            .as_ref()
+                            .map_or(0, Journal::append_failed)
+                            .into(),
+                    ),
                 ]),
             ),
             (
@@ -501,6 +518,7 @@ impl Server {
             queue_bytes: config.queue_bytes as u64,
             write_timeout_ms: config.write_timeout_ms,
             journal_corrupt_lines: recovery.corrupt_lines as u64,
+            ctx: config.ctx,
         });
         for job in recovery.pending {
             // Replayed jobs have no client: the events channel is born
@@ -528,7 +546,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || RunCtx::scope(&shared.ctx, || worker_loop(&shared)))
                     .expect("spawn worker")
             })
             .collect();
@@ -644,7 +662,7 @@ fn worker_loop(shared: &Shared) {
         if let (Some(journal), Some(key)) = (&shared.journal, job.key) {
             journal.running(key);
         }
-        let outcome = jobs::run_job(&job.spec, &shared.cache);
+        let outcome = jobs::run_job(&job.spec, &shared.cache, &shared.ctx);
         if outcome.code == 0 {
             shared.stats.done_ok.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -691,7 +709,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
         let shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("serve-conn".to_string())
-            .spawn(move || handle_conn(stream, &shared));
+            .spawn(move || RunCtx::scope(&shared.ctx, || handle_conn(stream, &shared)));
     }
 }
 

@@ -1,5 +1,5 @@
-//! Phase-budget degradation end to end (DESIGN.md §10): with
-//! `PREBOND3D_BUDGET_MS` armed at zero, every budgeted search — the
+//! Phase-budget degradation end to end (DESIGN.md §10): with a run
+//! budget of zero (`PREBOND3D_BUDGET_MS=0`), every budgeted search — the
 //! annealer, clique merging, the exact-clique branch-and-bound, the PODEM
 //! random and deterministic phases, compaction — must cut itself off at
 //! its first deadline poll, return its best-so-far (or abort-with-reason)
@@ -16,7 +16,7 @@ use prebond3d::place::{place, PlaceConfig};
 use prebond3d::wcm::flow::{FlowConfig, Method};
 use prebond3d_bench::{lintflow, report};
 use prebond3d_obs::json::{parse, Value};
-use prebond3d_resilience::budget;
+use prebond3d_resilience::{ReportMode, RunCtx};
 
 #[test]
 fn zero_budget_degrades_every_phase_and_still_lints_clean() {
@@ -24,14 +24,14 @@ fn zero_budget_degrades_every_phase_and_still_lints_clean() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp report dir");
     std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-    budget::force_budget_ms(Some(Some(0)));
+    let budget = RunCtx::default().with_budget_ms(Some(0)).enter();
     let t = Instant::now();
 
     let spec = itc99::circuit("b12").expect("known benchmark");
     let netlist = itc99::generate_die(&spec.dies[0]);
     let lib = Library::nangate45_like();
 
-    report::begin("budget_probe");
+    report::begin("budget_probe", ReportMode::default());
     let coverage = report::die_scope("b12 Die0", || {
         let placement = place(&netlist, &PlaceConfig::default(), 4);
         // The gate must hold under an armed budget: truncated searches may
@@ -50,7 +50,7 @@ fn zero_budget_degrades_every_phase_and_still_lints_clean() {
         atpg.test_coverage()
     });
     let run_path = report::finish().expect("report written");
-    budget::force_budget_ms(None);
+    drop(budget);
 
     // Termination: every poll interval is a few hundred iterations, so a
     // zero budget means each phase does at most one interval of work. The

@@ -10,15 +10,15 @@
 //! outputs byte-for-byte (via `Debug` fingerprints, which pin ordering
 //! as well as content).
 //!
-//! One `#[test]` function only: the no-cache override
-//! (`tuning::force_no_cache`) is process-global, so the whole sweep runs
-//! sequentially in a single body and restores the override at the end.
+//! Each mode runs under its own scoped `RunCtx` (the reference mode is
+//! `RunCtx::with_reference`); nothing process-global is flipped.
 
 use prebond3d::atpg::engine::{run_stuck_at, AtpgConfig};
 use prebond3d::celllib::Library;
-use prebond3d::netlist::{itc99, tuning};
+use prebond3d::netlist::itc99;
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::wcm::flow::{run_flow, FlowConfig, FlowResult, Method, Scenario};
+use prebond3d_resilience::RunCtx;
 use prebond3d_rng::StdRng;
 
 /// Seeded random die specs: small enough that the sweep's 2×(flow+ATPG)
@@ -76,11 +76,8 @@ fn cached_and_reference_flows_are_byte_identical() {
                 fingerprint(&r)
             };
 
-            tuning::force_no_cache(Some(false));
             let cached = run();
-            tuning::force_no_cache(Some(true));
-            let reference = run();
-            tuning::force_no_cache(None);
+            let reference = RunCtx::scope(&RunCtx::default().with_reference(true), run);
 
             assert_eq!(
                 cached, reference,
@@ -90,8 +87,8 @@ fn cached_and_reference_flows_are_byte_identical() {
         }
     }
 
-    // The env-var spelling must select the same reference path as the
-    // forced override (the override wins over the env, so clear it first).
+    // The env-var spelling, parsed at the binary edge, must select the
+    // same reference path as the explicit ctx.
     let spec = &random_specs()[0];
     let netlist = itc99::generate_die(spec);
     let placement = place(&netlist, &PlaceConfig::default(), 1);
@@ -105,11 +102,9 @@ fn cached_and_reference_flows_are_byte_identical() {
         let r = run_flow(&netlist, &placement, &lib, &config).expect("flow runs");
         fingerprint(&r)
     };
-    tuning::force_no_cache(Some(true));
-    let forced = run();
-    tuning::force_no_cache(None);
+    let forced = RunCtx::scope(&RunCtx::default().with_reference(true), run);
     std::env::set_var("PREBOND3D_NO_CACHE", "1");
-    let via_env = run();
+    let via_env = RunCtx::scope(&RunCtx::from_env().0, run);
     std::env::remove_var("PREBOND3D_NO_CACHE");
     assert_eq!(forced, via_env, "env-var and forced no-cache paths differ");
 
@@ -119,9 +114,8 @@ fn cached_and_reference_flows_are_byte_identical() {
     // (`PREBOND3D_NO_CACHE=1` forces the single-lane oracle).
     let mut widths = Vec::new();
     for width in [1usize, 4, 8] {
-        tuning::force_lanes(Some(width));
-        widths.push((width, run()));
-        tuning::force_lanes(None);
+        let ctx = RunCtx::default().with_lanes(width);
+        widths.push((width, RunCtx::scope(&ctx, run)));
     }
     for (width, got) in &widths {
         assert_eq!(
@@ -130,9 +124,9 @@ fn cached_and_reference_flows_are_byte_identical() {
         );
     }
 
-    // And the env-var spelling must select the same path as the override.
+    // And the env-var spelling must select the same path as the ctx.
     std::env::set_var("PREBOND3D_LANES", "4");
-    let via_lanes_env = run();
+    let via_lanes_env = RunCtx::scope(&RunCtx::from_env().0, run);
     std::env::remove_var("PREBOND3D_LANES");
     assert_eq!(
         widths[1].1, via_lanes_env,

@@ -27,9 +27,10 @@ use prebond3d::netlist::itc99::{self, DieSpec};
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::wcm::flow::{run_flow, FlowConfig, FlowError, Method};
 use prebond3d_bench::{driver, report};
+use prebond3d_lint::schema::schema_lines;
 use prebond3d_obs::json::{parse, Value};
 use prebond3d_pool::with_threads;
-use prebond3d_resilience::chaos;
+use prebond3d_resilience::{ReportMode, RunCtx};
 
 const SEEDS: u64 = 64;
 /// Per-call injection probability. High enough that every fault kind
@@ -90,47 +91,6 @@ fn run_units() -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Reduce a JSON value to `path: type` lines — the same shape as the
-/// golden files (see `tests/report_schema.rs`; duplicated here because
-/// integration-test binaries cannot share a module without a helper
-/// crate, and the 30 lines are cheaper than the coupling).
-fn schema_lines(path: &str, v: &Value, out: &mut BTreeSet<String>) {
-    match v {
-        Value::Null => {
-            out.insert(format!("{path}: null"));
-        }
-        Value::Bool(_) => {
-            out.insert(format!("{path}: bool"));
-        }
-        Value::Num(_) => {
-            out.insert(format!("{path}: number"));
-        }
-        Value::Str(_) => {
-            out.insert(format!("{path}: string"));
-        }
-        Value::Arr(items) => {
-            out.insert(format!("{path}: array"));
-            for item in items {
-                schema_lines(&format!("{path}[]"), item, out);
-            }
-        }
-        Value::Obj(map) => {
-            if path.ends_with(".counters") || path.ends_with(".gauges") {
-                out.insert(format!("{path}: map<number>"));
-                return;
-            }
-            if path.ends_with(".hists") {
-                out.insert(format!("{path}: map<hist>"));
-                return;
-            }
-            out.insert(format!("{path}: object"));
-            for (k, v) in map {
-                schema_lines(&format!("{path}.{k}"), v, out);
-            }
-        }
-    }
-}
-
 #[test]
 fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
     let base = std::env::temp_dir().join(format!("prebond3d-chaos-{}", std::process::id()));
@@ -148,13 +108,14 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
     let (mut panics, mut ios, mut non_finites) = (0u64, 0u64, 0u64);
 
     for seed in 0..SEEDS {
-        chaos::install(Some((seed, RATE)));
+        let ctx = RunCtx::default().with_chaos(seed, RATE);
         let exp = format!("chaos_s{seed}");
         // Alternate serial and 2-thread pools so both the serial chunk
         // loop and the worker-loop poison path see injections.
         let threads = if seed % 2 == 0 { 1 } else { 2 };
-        let code = with_threads(threads, || driver::run(&exp, run_units));
-        chaos::install(None);
+        let code = with_threads(threads, || {
+            driver::run_with(&ctx, ReportMode::default(), &exp, run_units)
+        });
 
         assert_ne!(
             code, fatal,
@@ -172,9 +133,7 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
         };
         let doc = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: report unparsable: {e}"));
 
-        let mut lines = BTreeSet::new();
-        schema_lines("$", &doc, &mut lines);
-        for line in &lines {
+        for line in &schema_lines(&doc) {
             assert!(
                 golden.contains(line),
                 "seed {seed}: report field outside the golden schema: {line}"

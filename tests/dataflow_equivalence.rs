@@ -7,18 +7,17 @@
 //! reference that never prunes, and the analysis itself must be
 //! byte-identical at every thread count (the worklist solver is
 //! deterministic by construction; this sweep pins it).
-//!
-//! One `#[test]` function only: the no-cache override
-//! (`tuning::force_no_cache`) is process-global, so the whole sweep runs
-//! sequentially in a single body and restores the override at the end.
+//! The reference runs under its own scoped `RunCtx`, so nothing global is
+//! flipped and the sweep needs no serialization.
 
 use prebond3d::atpg::engine::{run_stuck_at, AtpgConfig};
 use prebond3d::atpg::TestAccess;
 use prebond3d::dataflow::boundary;
 use prebond3d::dataflow::constprop::{Constants, SourceModel};
 use prebond3d::dataflow::scoring::{AccessView, Scores};
-use prebond3d::netlist::{itc99, tuning};
+use prebond3d::netlist::itc99;
 use prebond3d_pool as pool;
+use prebond3d_resilience::RunCtx;
 use prebond3d_rng::StdRng;
 
 /// Seeded random die specs: varied TSV counts so some dies have large X
@@ -79,9 +78,9 @@ fn pruned_atpg_and_dataflow_analysis_are_byte_identical() {
 
         // Pruned ATPG must match the never-pruning reference exactly, at
         // every thread count (`Debug` pins pattern order and coverage).
-        tuning::force_no_cache(Some(true));
-        let reference = run_stuck_at(&netlist, &access, &AtpgConfig::fast());
-        tuning::force_no_cache(Some(false));
+        let reference = RunCtx::scope(&RunCtx::default().with_reference(true), || {
+            run_stuck_at(&netlist, &access, &AtpgConfig::fast())
+        });
         for threads in [1usize, 4, 8] {
             let pruned = pool::with_threads(threads, || {
                 run_stuck_at(&netlist, &access, &AtpgConfig::fast())
@@ -93,6 +92,5 @@ fn pruned_atpg_and_dataflow_analysis_are_byte_identical() {
                  PREBOND3D_NO_CACHE reference at {threads} threads"
             );
         }
-        tuning::force_no_cache(None);
     }
 }

@@ -19,7 +19,7 @@ use prebond3d::place::{place, PlaceConfig};
 use prebond3d::wcm::flow::{run_flow, FlowConfig, FlowResult, Method, Scenario};
 use prebond3d_bench::{report, table2};
 use prebond3d_pool::with_threads;
-use prebond3d_resilience as resil;
+use prebond3d_resilience::{ReportMode, RunCtx};
 use prebond3d_rng::StdRng;
 
 /// The deterministic substrates the suite sweeps: a small and a medium
@@ -142,7 +142,6 @@ fn full_flow_and_atpg_results_are_thread_invariant() {
 /// of the matrix is (width 1, serial) — the straight-line oracle.
 #[test]
 fn lane_width_and_thread_matrix_is_byte_identical() {
-    use prebond3d::netlist::tuning;
     let lib = Library::nangate45_like();
     let spec = itc99::circuit("b12").expect("known benchmark");
     let netlist = itc99::generate_die(&spec.dies[0]);
@@ -194,14 +193,11 @@ fn lane_width_and_thread_matrix_is_byte_identical() {
         )
     };
 
-    tuning::force_lanes(Some(1));
-    let reference = with_threads(1, &fingerprint);
-    tuning::force_lanes(None);
+    let lanes = |width: usize| RunCtx::default().with_lanes(width);
+    let reference = RunCtx::scope(&lanes(1), || with_threads(1, fingerprint));
     for width in [1usize, 4, 8] {
         for threads in [1usize, 4, 8] {
-            tuning::force_lanes(Some(width));
-            let got = with_threads(threads, &fingerprint);
-            tuning::force_lanes(None);
+            let got = RunCtx::scope(&lanes(width), || with_threads(threads, fingerprint));
             assert_eq!(
                 reference, got,
                 "b12 Die0: lanes={width} threads={threads} diverges from the \
@@ -258,8 +254,8 @@ fn incremental_sta_what_if_sweep_equals_full_recompute_exactly() {
 /// Crash-safe checkpoint/resume (DESIGN.md §10): a sweep that is killed
 /// mid-run and resumed — even with a torn final checkpoint line and a
 /// different thread count — must converge to final reports byte-identical
-/// to an uninterrupted run. Wall-clock fields are zeroed via the
-/// `PREBOND3D_STABLE_MS` switch so the comparison is exact.
+/// to an uninterrupted run. Wall-clock fields are zeroed via
+/// `ReportMode::stable_ms` so the comparison is exact.
 #[test]
 fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     let base = std::env::temp_dir().join(format!("prebond3d-resume-{}", std::process::id()));
@@ -268,7 +264,10 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     std::fs::create_dir_all(&dir_a).expect("temp dirs");
     std::fs::create_dir_all(&dir_b).expect("temp dirs");
     std::env::set_var("PREBOND3D_CIRCUITS", "b11");
-    resil::force_stable_ms(Some(true));
+    let stable = ReportMode {
+        stable_ms: true,
+        resume: false,
+    };
 
     let read = |dir: &std::path::Path, name: &str| {
         std::fs::read_to_string(dir.join(name))
@@ -278,7 +277,7 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     // Reference: one uninterrupted run, serial.
     std::env::set_var("PREBOND3D_REPORT_DIR", &dir_a);
     with_threads(1, || {
-        report::begin("table2");
+        report::begin("table2", stable);
         table2::run();
         report::finish_summary()
     });
@@ -289,7 +288,7 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     // during an append would.
     std::env::set_var("PREBOND3D_REPORT_DIR", &dir_b);
     with_threads(2, || {
-        report::begin("table2");
+        report::begin("table2", stable);
         table2::run();
     });
     let ckpt = dir_b.join("checkpoint_table2.json");
@@ -302,13 +301,15 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
 
     // Resume at a different thread count; the torn unit re-runs, the rest
     // replay from the checkpoint.
-    resil::force_resume(Some(true));
+    let resume = ReportMode {
+        resume: true,
+        ..stable
+    };
     let summary = with_threads(4, || {
-        report::begin("table2");
+        report::begin("table2", resume);
         table2::run();
         report::finish_summary()
     });
-    resil::force_resume(None);
     assert!(
         summary.resume_skipped > 0,
         "resume should replay finished units from the checkpoint"
@@ -327,7 +328,6 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
         "checkpoint should be removed after a clean finish"
     );
 
-    resil::force_stable_ms(None);
     std::env::remove_var("PREBOND3D_REPORT_DIR");
     std::env::remove_var("PREBOND3D_CIRCUITS");
     let _ = std::fs::remove_dir_all(&base);

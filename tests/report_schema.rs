@@ -9,78 +9,20 @@
 //! files in `tests/golden/`. Downstream tooling parses these reports;
 //! changing a field name or type must be a conscious, reviewed act.
 
-use std::collections::BTreeSet;
-
 use prebond3d_bench::report;
+use prebond3d_lint::schema::schema_lines;
 use prebond3d_obs as obs;
 use prebond3d_obs::json::{parse, Value};
-use prebond3d_resilience::{chaos, degrade};
+use prebond3d_resilience::{chaos, degrade, ReportMode, RunCtx};
 
-/// Reduce a JSON value to sorted `path: type` lines. The `counters` and
-/// `gauges` objects are keyed by dynamic metric names, so they collapse
-/// to a single `map<number>` entry (asserting every value is numeric)
-/// instead of enumerating whatever counters this run happened to touch.
-fn schema_lines(path: &str, v: &Value, out: &mut BTreeSet<String>) {
-    match v {
-        Value::Null => {
-            out.insert(format!("{path}: null"));
-        }
-        Value::Bool(_) => {
-            out.insert(format!("{path}: bool"));
-        }
-        Value::Num(_) => {
-            out.insert(format!("{path}: number"));
-        }
-        Value::Str(_) => {
-            out.insert(format!("{path}: string"));
-        }
-        Value::Arr(items) => {
-            out.insert(format!("{path}: array"));
-            for item in items {
-                schema_lines(&format!("{path}[]"), item, out);
-            }
-        }
-        Value::Obj(map) => {
-            if path.ends_with(".counters") || path.ends_with(".gauges") {
-                out.insert(format!("{path}: map<number>"));
-                for (k, v) in map {
-                    assert!(
-                        matches!(v, Value::Num(_)),
-                        "{path}.{k} must be numeric, got {v:?}"
-                    );
-                }
-                return;
-            }
-            // Histogram maps are keyed by dynamic metric/phase names; they
-            // collapse to one `map<hist>` entry, asserting every value is
-            // a full histogram summary object.
-            if path.ends_with(".hists") {
-                out.insert(format!("{path}: map<hist>"));
-                for (k, v) in map {
-                    for field in ["count", "sum", "max", "p50", "p95", "p99"] {
-                        assert!(
-                            matches!(v.get(field), Some(Value::Num(_))),
-                            "{path}.{k}.{field} must be a numeric hist field, got {v:?}"
-                        );
-                    }
-                }
-                return;
-            }
-            out.insert(format!("{path}: object"));
-            for (k, v) in map {
-                schema_lines(&format!("{path}.{k}"), v, out);
-            }
-        }
-    }
-}
-
+/// Reduce a report to its sorted `path: type` lines (the lint pass's
+/// extractor: dynamically keyed `counters`/`gauges`/`hists` maps collapse
+/// to one line, and a value of the wrong type surfaces as an extra line
+/// the golden file does not contain).
 fn schema_of(text: &str) -> String {
     let doc = parse(text).expect("report parses as JSON");
-    let mut lines = BTreeSet::new();
-    schema_lines("$", &doc, &mut lines);
-    let mut s = lines.into_iter().collect::<Vec<_>>().join("\n");
-    s.push('\n');
-    s
+    let lines: Vec<String> = schema_lines(&doc).into_iter().collect();
+    format!("{}\n", lines.join("\n"))
 }
 
 /// Compare against a golden file — or, with `PREBOND3D_REGEN_GOLDEN`
@@ -102,9 +44,8 @@ fn assert_matches_golden(actual: &str, golden: &str, which: &str, golden_file: &
     );
 }
 
-/// Single test function: `begin`/`finish` use process-global state and
-/// `PREBOND3D_REPORT_DIR` is a process-global env var, so the whole
-/// scenario runs in one sequential body.
+/// Single test function: the report collector and `PREBOND3D_REPORT_DIR`
+/// are process-global, so the whole scenario runs in one sequential body.
 #[test]
 fn report_files_match_the_golden_schemas() {
     let dir = std::env::temp_dir().join(format!("prebond3d-schema-{}", std::process::id()));
@@ -114,8 +55,8 @@ fn report_files_match_the_golden_schemas() {
     // Arm chaos at rate 0 (armed but never fires) and stage one synthetic
     // event/degradation/failure so the goldens pin the element shapes of
     // the resilience arrays, not just their presence.
-    chaos::install(Some((1, 0.0)));
-    report::begin("schema_probe");
+    let armed = RunCtx::default().with_chaos(1, 0.0).enter();
+    report::begin("schema_probe", ReportMode::default());
     chaos::note("io.write", chaos::ChaosKind::Io);
     degrade::record("podem", "abort_faults", "schema probe");
     report::record_failure("synthetic Die9", "schema probe failure");
@@ -149,7 +90,7 @@ fn report_files_match_the_golden_schemas() {
     report::record_speedup("fault_simulation", "synthetic Die1", 4, 10.0, 4.0);
     report::record_work("atpg.gate_evals", "synthetic Die1", 1000, 400);
     let run_path = report::finish().expect("reports written");
-    chaos::install(None);
+    drop(armed);
     let bench_path = run_path.with_file_name("BENCH_schema_probe.json");
 
     let run_schema = schema_of(&std::fs::read_to_string(&run_path).expect("run report"));
@@ -185,4 +126,22 @@ fn serve_baseline_matches_the_golden_schema() {
         "BENCH_serve.json",
         "golden/serve_report.schema.txt",
     );
+}
+
+/// A metric value of the wrong type is drift: it reduces to a line the
+/// golden schema does not contain, so the golden comparison fails.
+#[test]
+fn non_numeric_metric_values_drift_from_the_golden() {
+    let golden = include_str!("golden/run_report.schema.txt");
+    for bad in [
+        r#"{"counters":{"k":"x"}}"#,
+        r#"{"gauges":{"k":true}}"#,
+        r#"{"hists":{"k":{"count":1}}}"#,
+    ] {
+        let schema = schema_of(&format!(r#"{{"sections":[{bad}]}}"#));
+        assert!(
+            schema.lines().any(|l| !golden.lines().any(|g| g == l)),
+            "{bad} slipped past the schema check"
+        );
+    }
 }

@@ -11,14 +11,11 @@
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 
-use std::sync::Mutex;
-
-use prebond3d_netlist::{itc99, tuning};
+use prebond3d_netlist::itc99;
 use prebond3d_obs::json::Value;
-use serve_util::{field, start_server, stop, Client};
-
-/// `tuning::force_no_cache` is process-global; serialize the tests.
-static LOCK: Mutex<()> = Mutex::new(());
+use prebond3d_resilience::RunCtx;
+use prebond3d_serve::ServerConfig;
+use serve_util::{field, start_server, start_with, stop, test_config, Client};
 
 const JOB: &str =
     r#"{"op":"submit","id":"det","circuit":"b11","die":0,"method":"ours","probe":"structural"}"#;
@@ -32,7 +29,6 @@ fn report_bytes(done: &Value) -> String {
 
 #[test]
 fn cold_warm_and_bypassed_reports_are_byte_identical() {
-    let _l = LOCK.lock().unwrap();
     let (server, addr) = start_server(1);
     let mut client = Client::connect(&addr);
 
@@ -46,20 +42,23 @@ fn cold_warm_and_bypassed_reports_are_byte_identical() {
         "a warm hit must reproduce the cold report byte for byte"
     );
 
-    // PREBOND3D_NO_CACHE semantics: the job bypasses the warm cache
-    // entirely and still produces the same bytes.
-    tuning::force_no_cache(Some(true));
-    let bypass = client.submit(JOB);
-    tuning::force_no_cache(None);
+    stop(server);
+
+    // PREBOND3D_NO_CACHE semantics: a reference-mode daemon bypasses the
+    // warm cache entirely and still produces the same bytes.
+    let (reference, addr) = start_with(ServerConfig {
+        workers: 1,
+        ctx: RunCtx::default().with_reference(true),
+        ..test_config()
+    });
+    let bypass = Client::connect(&addr).submit(JOB);
     assert_eq!(field(&bypass, "cache"), "bypass");
     assert_eq!(report_bytes(&cold), report_bytes(&bypass));
-
-    stop(server);
+    stop(reference);
 }
 
 #[test]
 fn reports_are_identical_across_worker_counts() {
-    let _l = LOCK.lock().unwrap();
     let mut reference: Option<String> = None;
     for workers in [1, 4] {
         let (server, addr) = start_server(workers);
@@ -92,7 +91,6 @@ fn reports_are_identical_across_worker_counts() {
 
 #[test]
 fn inline_netlists_key_by_content_and_reproduce() {
-    let _l = LOCK.lock().unwrap();
     let spec = itc99::DieSpec {
         name: "inline_die".to_string(),
         scan_flip_flops: 6,

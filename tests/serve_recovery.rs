@@ -241,6 +241,52 @@ fn budget_ms_degrades_to_best_so_far_over_the_wire() {
     stop(server);
 }
 
+/// Concurrent jobs never see each other's degradations: a `budget_ms:0`
+/// job queued between unbudgeted ones and released to four workers at
+/// once reports exactly the degradations it reports alone, and every
+/// unbudgeted job reports none.
+#[test]
+fn interleaved_jobs_report_exactly_their_own_degradations() {
+    let budgeted = r#"{"op":"submit","id":"tight","circuit":"b12","die":1,"method":"ours","probe":"structural","budget_ms":0}"#;
+    let outcome = |done: &Value| {
+        let list = done.get("degradations").expect("degradations array");
+        (done.get("code").and_then(Value::as_u64), list.to_string())
+    };
+    let (server, addr) = start_with(test_config());
+    let alone = outcome(&Client::connect(&addr).submit(budgeted));
+    stop(server);
+    assert_eq!(alone.0, Some(3), "{}", alone.1);
+    assert!(alone.1.contains("best_so_far") && alone.1.contains("stop_merging"));
+
+    let (server, addr) = start_with(ServerConfig {
+        workers: 4,
+        paused: true,
+        ..test_config()
+    });
+    let jobs = [
+        submit_line("u0", 0, "ours"),
+        submit_line("u1", 0, "agrawal"),
+        budgeted.to_string(),
+        submit_line("u2", 1, "ours"),
+        submit_line("u3", 0, "li"),
+    ];
+    let mut clients: Vec<Client> = jobs.iter().map(|_| Client::connect(&addr)).collect();
+    for (client, line) in clients.iter_mut().zip(&jobs) {
+        client.send_line(line);
+        assert_eq!(field(&client.read_frame(), "ev"), "accepted");
+    }
+    Client::connect(&addr).request(r#"{"op":"resume"}"#);
+    for (i, client) in clients.iter_mut().enumerate() {
+        let done = std::iter::repeat_with(|| client.read_frame())
+            .find(|frame| field(frame, "ev") == "done")
+            .expect("a done frame");
+        let unbudgeted = (Some(0), "[]".to_string());
+        let expected = if i == 2 { &alone } else { &unbudgeted };
+        assert_eq!(&outcome(&done), expected, "job {i}: {done}");
+    }
+    stop(server);
+}
+
 /// A job rejected by the static admission gate (code 1) must itemize
 /// the boundary issues on the wire, so the client learns *why* the die
 /// is untestable without running lint locally.

@@ -13,7 +13,7 @@
 mod serve_util;
 
 use prebond3d_obs::json::Value;
-use prebond3d_resilience as resil;
+use prebond3d_resilience::RunCtx;
 use prebond3d_rng::StdRng;
 use prebond3d_serve::{Bind, Server, ServerConfig};
 use serve_util::{field, job_stat, Client};
@@ -40,12 +40,12 @@ fn short_soak_slice_accounts_every_job_and_keeps_the_budget() {
 }
 
 fn soak(clients: usize, jobs_per_client: usize) {
-    // Arm chaos for the whole process — server workers included.
-    resil::chaos::install(Some((0xC0FF_EE00, 0.02)));
+    // Arm chaos for every job of the daemon.
     let server = Server::start(ServerConfig {
         bind: Bind::Tcp("127.0.0.1:0".to_string()),
         workers: 4,
         cache_bytes: SOAK_CACHE_BYTES,
+        ctx: RunCtx::default().with_chaos(0xC0FF_EE00, 0.02),
         ..ServerConfig::default()
     })
     .expect("bind soak daemon");
@@ -147,7 +147,6 @@ fn soak(clients: usize, jobs_per_client: usize) {
         "RSS grew {rss_before_kb} -> {rss_after_kb} kB during the soak"
     );
 
-    resil::chaos::install(None);
     server.shutdown();
     server.join();
 }

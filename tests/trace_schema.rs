@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use prebond3d_obs as obs;
 use prebond3d_obs::json::{parse, Value};
 use prebond3d_pool as pool;
-use prebond3d_resilience::chaos;
+use prebond3d_resilience::{chaos, RunCtx};
 
 /// Reduce the trace document to sorted `path: type` lines. Event `args`
 /// objects are keyed per event kind (`path`, `chunk`, `detail`,
@@ -62,9 +62,8 @@ fn traced_parallel_run_matches_the_golden_schema() {
 
     // Chaos armed at rate 0: never fires spontaneously, but the staged
     // note still lands on the timeline as an instant event.
-    chaos::install(Some((1, 0.0)));
-    chaos::note("pool.worker", chaos::ChaosKind::Panic);
-    {
+    RunCtx::scope(&RunCtx::default().with_chaos(1, 0.0), || {
+        chaos::note("pool.worker", chaos::ChaosKind::Panic);
         // A main-thread phase span becomes a complete event on track 1.
         let _flow = obs::span("flow");
         // Four pool workers each name their track and emit one complete
@@ -73,8 +72,7 @@ fn traced_parallel_run_matches_the_golden_schema() {
             pool::par_chunks(8, 1, || 0u64, |_, range| range.start as u64)
         });
         assert_eq!(results.len(), 8);
-    }
-    chaos::install(None);
+    });
     obs::trace::flush();
     obs::trace::configure(None);
 
